@@ -135,7 +135,6 @@ TRAIN_KEYS = {
     "max_answer_len": int,
     "question_max_len": int,
     "objective": str,
-    "phase": str,
     "z_match": str,
     "z_refresh_every": int,
     "remine_every": int,
@@ -165,7 +164,6 @@ def train_config_from_kv(kv: dict[str, str], vocab_size: int) -> tuple[TrainConf
         alpha=typed.pop("alpha", 0.5),
         k_frozen=k_frozen,
         k_dynamic=typed.pop("k_dynamic", 50),
-        batch_size=int(typed.get("batch_size", 32)),
         mining=MiningStrategy(
             variant=typed.pop("mining_variant", "most_similar"),
             theta=typed.pop("mining_theta", 1),
@@ -233,7 +231,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train_base(args) -> int:
     cfg, _, ds = _load_train_inputs(args, parse_overrides(args.config))
-    cfg = replace(cfg, phase="base")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params, log = train_base(cfg, ds.train, ds.vocab, dev_examples=ds.dev, out_dir=out)
@@ -250,7 +247,7 @@ def _cmd_collect(args) -> int:
     kv = parse_kv_file(args.base) if args.base else {}
     kv.update(overrides)
     cfg, _ = train_config_from_kv(kv, len(ds.vocab))
-    cfg = replace(cfg, encoder=replace(enc_cfg, num_hard_weights=cfg.loss.k_frozen), phase="collect")
+    cfg = replace(cfg, encoder=replace(enc_cfg, num_hard_weights=cfg.loss.k_frozen))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _, summary = collect_candidates(params, cfg, ds.train, ds.vocab, out / "candidates.jsonl")
@@ -262,7 +259,7 @@ def _cmd_train(args) -> int:
     overrides = parse_overrides(args.config)
     cfg, extras, ds = _load_train_inputs(args, overrides)
     enc_cfg, params = load_checkpoint(args.ckpt)
-    cfg = replace(cfg, encoder=replace(enc_cfg, num_hard_weights=cfg.loss.k_frozen), phase="finetune")
+    cfg = replace(cfg, encoder=replace(enc_cfg, num_hard_weights=cfg.loss.k_frozen))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.objective == "combined":
@@ -330,7 +327,7 @@ def _cmd_sweep(args) -> int:
 
     # one shared base checkpoint so axis effects are not confounded
     base_cfg, _ = train_config_from_kv(dict(base_kv), len(ds.vocab))
-    base_params, _ = train_base(replace(base_cfg, phase="base"), ds.train, ds.vocab)
+    base_params, _ = train_base(base_cfg, ds.train, ds.vocab)
     save_checkpoint(out / "base.ckpt", base_cfg.encoder, base_params)
 
     rows = []
@@ -338,7 +335,6 @@ def _cmd_sweep(args) -> int:
         kv = dict(base_kv)
         kv.update(_axis_overrides(spec.axis, value))
         cfg, _ = train_config_from_kv(kv, len(ds.vocab))
-        cfg = replace(cfg, phase="finetune")
         records, _ = collect_candidates(base_params, cfg, ds.train, ds.vocab)
         store = {r["id"]: r for r in records}
         for seed in spec.seeds:

@@ -26,7 +26,6 @@ class LossConfig:
     alpha: float = 0.5
     k_frozen: int = 20
     k_dynamic: int = 50
-    batch_size: int = 32
     mining: MiningStrategy = field(default_factory=MiningStrategy)
 
     def __post_init__(self):
@@ -34,8 +33,8 @@ class LossConfig:
             raise ValueError("tau must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if min(self.k_frozen, self.k_dynamic, self.batch_size) < 1:
-            raise ValueError("k_frozen, k_dynamic and batch_size must be >= 1")
+        if min(self.k_frozen, self.k_dynamic) < 1:
+            raise ValueError("k_frozen and k_dynamic must be >= 1")
 
 
 def _check_span(trace: ForwardTrace, span: Span) -> None:

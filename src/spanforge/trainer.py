@@ -4,6 +4,11 @@ finetuning (rank-weighted hard loss over the frozen set plus answer-aware
 contrastive loss with per-step hard-negative mining), driven by AdamW with
 linear warm-up.
 
+Base training, the cross-entropy control and combined finetuning run one
+loop (``_run_loop``: shuffling, warm-up, the finiteness check, AdamW, logging,
+checkpoints, evaluation); each supplies only a stage, a generator of per-batch
+gradients and losses.
+
 Everything is deterministic given (config, seed, data): shuffling comes from
 one seeded generator, random mining from per-(example, step) derived streams,
 and every reduction runs in a fixed order.
@@ -14,8 +19,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +51,7 @@ from .losses import (
 from .mining import mining_rng, select_hard_negatives
 from .metrics import EvalReport, evaluate
 from .spandecode import (
+    PredictionSet,
     ScoredSpan,
     build_frozen_set,
     store_record,
@@ -73,7 +80,6 @@ class TrainConfig:
     max_answer_len: int = 8
     question_max_len: int = 64
     objective: str = "combined"  # finetune objective: "combined" or "ce"
-    phase: str = "base"  # base | collect | finetune (informational)
     z_match: str = "position"  # gold membership test when freezing: position | text
     z_refresh_every: int = 0  # steps between frozen-set refreshes; 0 = frozen
     remine_every: int = 1  # steps a mined selection is reused before re-mining
@@ -167,9 +173,9 @@ def adamw_step(
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
-def _accumulate(total: ModelParams, delta: ModelParams, scale: float = 1.0) -> None:
+def _accumulate(total: ModelParams, delta: ModelParams) -> None:
     for name in PARAM_FIELDS:
-        getattr(total, name).__iadd__(scale * getattr(delta, name))
+        getattr(total, name).__iadd__(getattr(delta, name))
 
 
 def _lr_at(base_lr: float, step: int, warmup_steps: int) -> float:
@@ -235,6 +241,66 @@ def log_probe_predictions(
     return records
 
 
+# A stage takes the stream of (step, batch) pairs and yields, per batch, the
+# batch gradients, the batch loss, the fields of the step record and any
+# follow-up (kind, fields) records.
+Batches = Iterator[tuple[int, list[EncodedExample]]]
+StepResult = tuple[ModelParams, float, dict, list[tuple[str, dict]]]
+Stage = Callable[[Batches], Iterator[StepResult]]
+
+
+def _run_loop(config, params, encs, stage: Stage, log, phase, dev_examples, vocab, out_dir, final_ckpt) -> None:
+    """Minibatch AdamW with linear warm-up over ``config.epochs`` shuffled
+    epochs, updating ``params`` in place. No update is applied unless the
+    batch loss is finite."""
+    state = init_adam_state(config.encoder)
+    rng = np.random.default_rng(config.seed)
+    steps = total_steps(len(encs), config.batch_size, config.epochs)
+    warmup_steps = math.ceil(config.warmup * steps)
+    probe = encs[: config.probe_count]
+    batches = enumerate(
+        [encs[int(i)] for i in batch_idx]
+        for _ in range(config.epochs)
+        for batch_idx in _batches(rng, len(encs), config.batch_size)
+    )
+
+    for step, (grads, loss, fields, follow) in enumerate(stage(batches)):
+        if not np.isfinite(loss):
+            raise RuntimeError(f"non-finite loss at step {step}")
+        adamw_step(params, grads, state, _lr_at(config.lr, step, warmup_steps), config.betas, config.eps, config.weight_decay)
+        done = step + 1
+        log.add(kind="step", phase=phase, step=done, **fields)
+        for kind, rec in follow:
+            log.add(kind=kind, step=done, **rec)
+        _maybe_checkpoint(config, params, probe, done, steps, out_dir, log, phase)
+        _maybe_eval(config, params, dev_examples, vocab, done, log)
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(out / final_ckpt, config.encoder, params)
+        log.save(out / f"runlog_{phase}.jsonl")
+
+
+def _ce_steps(params: ModelParams, config: TrainConfig, loss_key: str, batches: Batches, **tags) -> Iterator[StepResult]:
+    """Gold-span cross-entropy steps; the batch loss goes into the step
+    record under ``loss_key``, after ``tags``."""
+    for _, batch_encs in batches:
+        grads = zero_params(config.encoder)
+        batch_loss = 0.0
+        inv_b = 1.0 / len(batch_encs)
+        for enc in batch_encs:
+            trace = forward(params, enc)
+            loss, d_slp, d_elp = ce_loss_grads(trace, enc.gold_in_sequence)
+            batch_loss += loss * inv_b
+            # Keep the trace and the per-example gradients bound, across the
+            # yield too, until the next example replaces them: freeing them
+            # sooner lets the allocator trim the heap and fault the pages back
+            # in on every example or step.
+            g = backward(params, trace, UpstreamGrads(d_slp * inv_b, d_elp * inv_b))
+            _accumulate(grads, g)
+        yield grads, batch_loss, {**tags, loss_key: batch_loss}, []
+
+
 def train_base(
     config: TrainConfig,
     train_examples: Sequence[Example],
@@ -252,37 +318,8 @@ def train_base(
     encs, skipped = _encode_usable(config, train_examples, vocab)
     log.add(kind="setup", phase="base", examples=len(encs), skipped_unusable=skipped)
     params = init.copy() if init is not None else init_params(config.encoder, config.seed)
-    state = init_adam_state(config.encoder)
-    rng = np.random.default_rng(config.seed)
-    steps = total_steps(len(encs), config.batch_size, config.epochs)
-    warmup_steps = math.ceil(config.warmup * steps)
-    probe = encs[: config.probe_count]
-
-    step = 0
-    for _ in range(config.epochs):
-        for batch_idx in _batches(rng, len(encs), config.batch_size):
-            grads = zero_params(config.encoder)
-            batch_loss = 0.0
-            inv_b = 1.0 / len(batch_idx)
-            for i in batch_idx:
-                enc = encs[int(i)]
-                trace = forward(params, enc)
-                loss, d_slp, d_elp = ce_loss_grads(trace, enc.gold_in_sequence)
-                if not np.isfinite(loss):
-                    raise RuntimeError(f"non-finite loss at step {step}, example {enc.id}")
-                batch_loss += loss * inv_b
-                g = backward(params, trace, UpstreamGrads(d_slp * inv_b, d_elp * inv_b))
-                _accumulate(grads, g)
-            adamw_step(params, grads, state, _lr_at(config.lr, step, warmup_steps), config.betas, config.eps, config.weight_decay)
-            step += 1
-            log.add(kind="step", phase="base", step=step, loss=batch_loss)
-            _maybe_checkpoint(config, params, probe, step, steps, out_dir, log, "base")
-            _maybe_eval(config, params, dev_examples, vocab, step, log)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(out / "base.ckpt", config.encoder, params)
-        log.save(out / "runlog_base.jsonl")
+    stage = partial(_ce_steps, params, config, "loss")
+    _run_loop(config, params, encs, stage, log, "base", dev_examples, vocab, out_dir, "base.ckpt")
     return params, log
 
 
@@ -316,6 +353,14 @@ def gold_scored(trace: ForwardTrace, gold: Span) -> ScoredSpan:
     )
 
 
+def _frozen_set(params: ModelParams, config: TrainConfig, enc: EncodedExample) -> tuple[PredictionSet, int | None]:
+    """One example's frozen top-k_frozen set under ``params``, and the gold's rank."""
+    k = config.loss.k_frozen
+    trace = forward(params, enc)
+    preds = topk_spans(trace, enc, k, config.max_answer_len)
+    return build_frozen_set(preds, gold_scored(trace, enc.gold_in_sequence), k, config.z_match)
+
+
 def collect_candidates(
     params: ModelParams,
     config: TrainConfig,
@@ -337,9 +382,7 @@ def collect_candidates(
         if not enc.usable:
             skipped += 1
             continue
-        trace = forward(params, enc)
-        preds = topk_spans(trace, enc, k, config.max_answer_len)
-        frozen, gold_rank = build_frozen_set(preds, gold_scored(trace, enc.gold_in_sequence), k, config.z_match)
+        frozen, gold_rank = _frozen_set(params, config, enc)
         records.append(store_record(ex.id, frozen, gold_rank))
         rank_hist[str(gold_rank)] = rank_hist.get(str(gold_rank), 0) + 1
     n = len(records)
@@ -490,11 +533,11 @@ def finetune(
 ) -> tuple[ModelParams, RunLog]:
     """Combined-objective finetuning from a base checkpoint.
 
-    Per batch: forward every example, re-decode the dynamic top-k and mine a
-    hard negative per example (skipping the contrastive term where none is
-    eligible), then take one AdamW step on the combined objective, rank-weight
-    logits included. With objective="ce" the same loop trains plain gold-span
-    cross-entropy as a control.
+    Runs train_base's loop with a different step. Per batch: re-decode the
+    dynamic top-k and mine a hard negative per example (skipping the
+    contrastive term where none is eligible), then take one AdamW step on the
+    combined objective, rank-weight logits included. With objective="ce" the
+    step is train_base's gold-span cross-entropy, as a control.
     """
     log = RunLog()
     encs, skipped = _encode_usable(config, train_examples, vocab)
@@ -505,92 +548,45 @@ def finetune(
     enc_cfg = replace(config.encoder, num_hard_weights=config.loss.k_frozen)
     config = replace(config, encoder=enc_cfg)
 
-    if config.objective == "combined":
+    if config.objective == "ce":
+        stage = partial(_ce_steps, params, config, "combined", objective="ce")
+    else:
         missing = [enc.id for enc in encs if enc.id not in store]
         if missing:
             raise ValueError(f"candidate store is missing {len(missing)} example(s), e.g. {missing[:3]}")
         frozen_map = {enc.id: _frozen_spans_from_record(store[enc.id], enc, config.loss.k_frozen) for enc in encs}
-    else:
-        frozen_map = {}
-
+        stage = partial(_combined_steps, params, config, encs, frozen_map, log)
     log.add(kind="setup", phase="finetune", objective=config.objective, examples=len(encs), skipped_unusable=skipped)
-    state = init_adam_state(config.encoder)
-    rng = np.random.default_rng(config.seed)
-    steps = total_steps(len(encs), config.batch_size, config.epochs)
-    warmup_steps = math.ceil(config.warmup * steps)
-    probe = encs[: config.probe_count]
-    mine_cache: dict[str, tuple[int, list[Span]]] = {}
-
-    step = 0
-    for _ in range(config.epochs):
-        for batch_idx in _batches(rng, len(encs), config.batch_size):
-            batch_encs = [encs[int(i)] for i in batch_idx]
-            if config.objective == "ce":
-                grads = zero_params(config.encoder)
-                batch_loss = 0.0
-                inv_b = 1.0 / len(batch_encs)
-                for enc in batch_encs:
-                    trace = forward(params, enc)
-                    loss, d_slp, d_elp = ce_loss_grads(trace, enc.gold_in_sequence)
-                    batch_loss += loss * inv_b
-                    _accumulate(grads, backward(params, trace, UpstreamGrads(d_slp * inv_b, d_elp * inv_b)))
-                adamw_step(params, grads, state, _lr_at(config.lr, step, warmup_steps), config.betas, config.eps, config.weight_decay)
-                step += 1
-                if not np.isfinite(batch_loss):
-                    raise RuntimeError(f"non-finite loss at step {step}")
-                log.add(kind="step", phase="finetune", step=step, objective="ce", combined=batch_loss)
-                _maybe_checkpoint(config, params, probe, step, steps, out_dir, log, "finetune")
-                _maybe_eval(config, params, dev_examples, vocab, step, log)
-                continue
-
-            if config.z_refresh_every > 0 and step > 0 and step % config.z_refresh_every == 0:
-                frozen_map = _refresh_frozen(params, config, encs)
-                log.add(kind="z_refresh", step=step)
-
-            items, mined_log = _assemble_batch(params, config, batch_encs, frozen_map, mine_cache, step)
-            res = combined_batch(params, items, config)
-            if not np.isfinite(res.combined):
-                raise RuntimeError(f"non-finite loss at step {step}")
-            adamw_step(params, res.grads, state, _lr_at(config.lr, step, warmup_steps), config.betas, config.eps, config.weight_decay)
-            step += 1
-            log.add(
-                kind="step",
-                phase="finetune",
-                step=step,
-                objective="combined",
-                hard=res.hard,
-                contrast=res.contrast,
-                combined=res.combined,
-                contrastive_items=res.contrastive_items,
-                contrastive_skipped=len(items) - res.contrastive_items if config.loss.alpha > 0 else len(items),
-            )
-            if config.log_mined and config.loss.alpha > 0:
-                log.add(kind="mined", step=step, selections=mined_log)
-            _maybe_checkpoint(config, params, probe, step, steps, out_dir, log, "finetune")
-            _maybe_eval(config, params, dev_examples, vocab, step, log)
-
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(out / "finetuned.ckpt", config.encoder, params)
-        log.save(out / "runlog_finetune.jsonl")
+    _run_loop(config, params, encs, stage, log, "finetune", dev_examples, vocab, out_dir, "finetuned.ckpt")
     return params, log
+
+
+def _combined_steps(params, config, encs, frozen_map: dict[str, list[Span]], log, batches: Batches) -> Iterator[StepResult]:
+    """Combined-objective steps: refresh the frozen sets on cadence, mine (or
+    reuse) the hard negatives, then the loss and gradients of combined_batch."""
+    mine_cache: dict[str, tuple[int, list[Span]]] = {}
+    for step, batch_encs in batches:
+        if config.z_refresh_every > 0 and step > 0 and step % config.z_refresh_every == 0:
+            frozen_map = {enc.id: _frozen_set(params, config, enc)[0].spans() for enc in encs}
+            log.add(kind="z_refresh", step=step)
+
+        items, mined_log = _assemble_batch(params, config, batch_encs, frozen_map, mine_cache, step)
+        res = combined_batch(params, items, config)
+        fields = dict(
+            objective="combined",
+            hard=res.hard,
+            contrast=res.contrast,
+            combined=res.combined,
+            contrastive_items=res.contrastive_items,
+            contrastive_skipped=len(items) - res.contrastive_items if config.loss.alpha > 0 else len(items),
+        )
+        follow = [("mined", {"selections": mined_log})] if config.log_mined and config.loss.alpha > 0 else []
+        yield res.grads, res.combined, fields, follow
 
 
 def replace_u(params: ModelParams, new_u: np.ndarray) -> ModelParams:
     out = params.copy()
     out.u = np.asarray(new_u, dtype=np.float64).copy()
-    return out
-
-
-def _refresh_frozen(params: ModelParams, config: TrainConfig, encs: Sequence[EncodedExample]) -> dict[str, list[Span]]:
-    k = config.loss.k_frozen
-    out = {}
-    for enc in encs:
-        trace = forward(params, enc)
-        preds = topk_spans(trace, enc, k, config.max_answer_len)
-        frozen, _ = build_frozen_set(preds, gold_scored(trace, enc.gold_in_sequence), k, config.z_match)
-        out[enc.id] = frozen.spans()
     return out
 
 

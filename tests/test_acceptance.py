@@ -80,7 +80,7 @@ def _grad_instance(rng):
     )
     cfg = TrainConfig(
         encoder=EncoderConfig(vocab_size=len(ds.vocab), d_model=4, d_ff=6, max_len=14, num_hard_weights=3),
-        loss=LossConfig(k_frozen=3, k_dynamic=6, alpha=0.5, tau=10.0, batch_size=2),
+        loss=LossConfig(k_frozen=3, k_dynamic=6, alpha=0.5, tau=10.0),
         max_answer_len=3,
     )
     params = init_params(cfg.encoder, seed=int(rng.integers(10_000)))
@@ -272,7 +272,7 @@ def _tiny_pipeline(tmp_path, alpha, seed=0):
     )
     cfg = TrainConfig(
         encoder=EncoderConfig(vocab_size=len(ds.vocab), d_model=8, d_ff=12, max_len=22, num_hard_weights=4),
-        loss=LossConfig(k_frozen=4, k_dynamic=8, alpha=alpha, batch_size=12),
+        loss=LossConfig(k_frozen=4, k_dynamic=8, alpha=alpha),
         lr=3e-3,
         epochs=2,
         batch_size=12,

@@ -276,7 +276,7 @@ class TestOrdering:
 
 def test_loss_config_defaults_and_validation():
     cfg = LossConfig()
-    assert (cfg.tau, cfg.alpha, cfg.k_frozen, cfg.k_dynamic, cfg.batch_size) == (10.0, 0.5, 20, 50, 32)
+    assert (cfg.tau, cfg.alpha, cfg.k_frozen, cfg.k_dynamic) == (10.0, 0.5, 20, 50)
     with pytest.raises(ValueError):
         LossConfig(tau=0.0)
     with pytest.raises(ValueError):

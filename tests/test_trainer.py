@@ -50,7 +50,7 @@ def tiny_config(ds, **kw):
     loss_kw = kw.pop("loss", {})
     enc_defaults = dict(vocab_size=len(ds.vocab), d_model=8, d_ff=12, max_len=24, num_hard_weights=loss_kw.get("k_frozen", 4))
     enc_defaults.update(enc_kw)
-    loss_defaults = dict(k_frozen=4, k_dynamic=8, batch_size=8, tau=10.0, alpha=0.5)
+    loss_defaults = dict(k_frozen=4, k_dynamic=8, tau=10.0, alpha=0.5)
     loss_defaults.update(loss_kw)
     defaults = dict(
         encoder=EncoderConfig(**enc_defaults),
@@ -235,7 +235,7 @@ class TestCombinedBatch:
         cfg = tiny_config(
             ds,
             encoder=dict(vocab_size=len(ds.vocab), d_model=4, d_ff=6, max_len=18, num_hard_weights=3),
-            loss=dict(k_frozen=3, k_dynamic=6, alpha=alpha, tau=10.0, batch_size=4),
+            loss=dict(k_frozen=3, k_dynamic=6, alpha=alpha, tau=10.0),
             max_answer_len=3,
         )
         params = init_params(cfg.encoder, seed=1)
@@ -298,7 +298,7 @@ class TestFinetune:
         ds, cfg, base, store = self._setup(tmp_path)
         from dataclasses import replace
 
-        cfg0 = replace(cfg, loss=LossConfig(alpha=0.0, k_frozen=4, k_dynamic=8, batch_size=8))
+        cfg0 = replace(cfg, loss=LossConfig(alpha=0.0, k_frozen=4, k_dynamic=8))
         params, log = finetune(cfg0, ds.train, ds.vocab, store, base)
         for rec in log.of_kind("step"):
             assert rec["contrast"] == 0.0
@@ -308,7 +308,7 @@ class TestFinetune:
         ds, cfg, base, store = self._setup(tmp_path)
         from dataclasses import replace
 
-        cfg1 = replace(cfg, loss=LossConfig(alpha=1.0, k_frozen=4, k_dynamic=8, batch_size=8))
+        cfg1 = replace(cfg, loss=LossConfig(alpha=1.0, k_frozen=4, k_dynamic=8))
         params, log = finetune(cfg1, ds.train, ds.vocab, store, base)
         saw_items = False
         for rec in log.of_kind("step"):
@@ -381,10 +381,55 @@ class TestFinetune:
         ds, cfg, base, store = self._setup(tmp_path)
         from dataclasses import replace
 
-        cfg2 = replace(cfg, loss=LossConfig(alpha=0.0, k_frozen=2, k_dynamic=8, batch_size=8))
+        cfg2 = replace(cfg, loss=LossConfig(alpha=0.0, k_frozen=2, k_dynamic=8))
         store2 = {r["id"]: r for r in collect_candidates(base, cfg2, ds.train, ds.vocab)[0]}
         params, _ = finetune(cfg2, ds.train, ds.vocab, store2, base)
         assert params.u.shape == (2,)
+
+
+class TestTrainingLoop:
+    @pytest.mark.parametrize("entry", ["train_base", "finetune_ce"])
+    def test_non_finite_loss_raises_before_any_update(self, entry, monkeypatch):
+        import spanforge.trainer as trainer
+
+        ds = tiny_corpus()
+        cfg = tiny_config(ds, objective="ce")
+        real_ce = trainer.ce_loss_grads
+
+        def nan_loss(trace, gold):
+            _, d_slp, d_elp = real_ce(trace, gold)
+            return float("nan"), d_slp, d_elp
+
+        updates = []
+        monkeypatch.setattr(trainer, "ce_loss_grads", nan_loss)
+        monkeypatch.setattr(trainer, "adamw_step", lambda *args, **kwargs: updates.append(args))
+        with pytest.raises(RuntimeError, match="non-finite loss"):
+            if entry == "train_base":
+                train_base(cfg, ds.train[:16], ds.vocab)
+            else:
+                finetune(cfg, ds.train[:16], ds.vocab, {}, init_params(cfg.encoder, cfg.seed))
+        assert updates == []
+
+    def test_ce_control_continues_base_training_bitwise(self):
+        ds = tiny_corpus()
+        cfg = tiny_config(ds, epochs=2, objective="ce")
+        base, _ = train_base(cfg, ds.train[:24], ds.vocab)
+        tuned, ft_log = finetune(cfg, ds.train[:24], ds.vocab, {}, base)
+        resumed, base_log = train_base(cfg, ds.train[:24], ds.vocab, init=base)
+        np.testing.assert_array_equal(flatten_params(tuned), flatten_params(resumed))
+        assert [r["combined"] for r in ft_log.of_kind("step")] == [r["loss"] for r in base_log.of_kind("step")]
+
+    def test_z_refresh_at_lr_zero_reproduces_collected_sets(self):
+        from dataclasses import replace
+
+        ds = tiny_corpus(n=60)
+        cfg = tiny_config(ds, epochs=2, lr=0.0)
+        base, _ = train_base(replace(cfg, lr=5e-3), ds.train, ds.vocab)
+        store = {r["id"]: r for r in collect_candidates(base, cfg, ds.train, ds.vocab)[0]}
+        _, frozen_log = finetune(cfg, ds.train, ds.vocab, store, base)
+        _, refresh_log = finetune(replace(cfg, z_refresh_every=1), ds.train, ds.vocab, store, base)
+        assert len(refresh_log.of_kind("z_refresh")) == len(frozen_log.of_kind("step")) - 1
+        assert [r for r in refresh_log.records if r["kind"] != "z_refresh"] == frozen_log.records
 
 
 class TestProbe:
