@@ -284,10 +284,10 @@ def _cmd_eval(args) -> int:
     vocab_path = Path(overrides.pop("vocab", data_path.parent / "vocab.txt"))
     vocab = Vocab.load(vocab_path)
     k_list = tuple(int(k) for k in args.k.split(","))
-    max_answer_len = int(overrides.pop("max_answer_len", 8))
+    encoding = {key: int(overrides.pop(key)) for key in ("max_answer_len", "question_max_len") if key in overrides}
     if overrides:
         raise ValueError(f"unknown eval overrides: {sorted(overrides)}")
-    cfg = TrainConfig(encoder=enc_cfg, max_answer_len=max_answer_len)
+    cfg = TrainConfig(encoder=enc_cfg, **encoding)
     report = run_eval(params, cfg, examples, vocab, k_list=k_list)
     out_csv = Path(args.out)
     out_csv.parent.mkdir(parents=True, exist_ok=True)

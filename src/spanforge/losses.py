@@ -135,23 +135,6 @@ def hard_loss_grads(
     return loss, d_slp, d_elp, d_u
 
 
-def _unclipped_cosine(u: Vec64, v: Vec64) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("zero-norm representation in contrastive loss")
-    return float(np.dot(u, v) / (nu * nv))
-
-
-def _cosine_grads(u: Vec64, v: Vec64) -> tuple[Vec64, Vec64]:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    psi = float(np.dot(u, v) / (nu * nv))
-    du = v / (nu * nv) - psi * u / (nu * nu)
-    dv = u / (nu * nv) - psi * v / (nv * nv)
-    return du, dv
-
-
 def _as_hard_list(r_hard) -> list[Vec64]:
     if r_hard is None:
         return []
@@ -175,56 +158,57 @@ def contrastive_loss_grads(
     For item i the denominator covers its own gold, its hard negative(s), and
     every other item's gold; the positive pair sits in its own denominator.
     All similarities are cosine divided by tau. Gradients flow to every
-    representation vector, including cross-item gold entries.
+    representation vector, including cross-item gold entries. Items may bring
+    different numbers of hard negatives, none included.
+
+    Computed in the in-batch matrix form: with Qn and Kn = [Gn; Hn] the
+    unit-normalised questions and keys (golds, then every item's hards), row
+    i of S = Qn Kn^T / tau is item i's logits, with other items' hards masked
+    out. The cosine Jacobian (dXn - Xn <Xn, dXn>) / |X| maps the gradients
+    back to the unnormalised vectors.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if not batch:
         raise ValueError("contrastive loss over an empty batch")
-    items = [(np.asarray(q, dtype=np.float64), np.asarray(g, dtype=np.float64), _as_hard_list(h)) for q, g, h in batch]
-    B = len(items)
+    B = len(batch)
+    hard_lists = [_as_hard_list(h) for _, _, h in batch]
+    counts = [len(hards) for hards in hard_lists]
+    q = np.stack([np.asarray(rq, dtype=np.float64) for rq, _, _ in batch])
+    keys = np.stack(
+        [np.asarray(rg, dtype=np.float64) for _, rg, _ in batch]
+        + [np.asarray(rh, dtype=np.float64) for hards in hard_lists for rh in hards]
+    )
+    q_norm = np.linalg.norm(q, axis=1, keepdims=True)
+    k_norm = np.linalg.norm(keys, axis=1, keepdims=True)
+    if np.any(q_norm == 0.0) or np.any(k_norm == 0.0):
+        raise ValueError("zero-norm representation in contrastive loss")
+    qn = q / q_norm
+    kn = keys / k_norm
+
+    rows = np.arange(B)
+    owner = np.repeat(rows, counts)
+    logits = (qn @ kn.T) / tau
+    logits[:, B:][owner[None, :] != rows[:, None]] = -np.inf
+    m = logits.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    loss = float(np.mean(lse[:, 0] - logits[rows, rows]))
+
+    # d(loss)/d(logit) = (softmax - onehot(positive)) / B; masked entries are 0
+    coeff = np.exp(logits - lse)
+    coeff[rows, rows] -= 1.0
+    coeff /= tau * B
+    d_qn = coeff @ kn
+    d_kn = coeff.T @ qn
+    d_q = (d_qn - qn * np.sum(qn * d_qn, axis=1, keepdims=True)) / q_norm
+    d_k = (d_kn - kn * np.sum(kn * d_kn, axis=1, keepdims=True)) / k_norm
+
+    bounds = np.cumsum([B] + counts)
     grads = [
-        ContrastiveItemGrads(
-            d_question=np.zeros_like(q),
-            d_gold=np.zeros_like(g),
-            d_hards=[np.zeros_like(h) for h in hards],
-        )
-        for q, g, hards in items
+        ContrastiveItemGrads(d_question=d_q[i], d_gold=d_k[i], d_hards=list(d_k[bounds[i] : bounds[i + 1]]))
+        for i in range(B)
     ]
-
-    total = 0.0
-    for i, (rq, rg, hards) in enumerate(items):
-        # members[0] is the positive pair; slots address the gradient targets
-        members: list[tuple[Vec64, str, int, int]] = [(rg, "gold", i, -1)]
-        for t, rh in enumerate(hards):
-            members.append((rh, "hard", i, t))
-        for n_other in range(B):
-            if n_other != i:
-                members.append((items[n_other][1], "gold", n_other, -1))
-        sims = np.array([_unclipped_cosine(rq, vec) for vec, _, _, _ in members]) / tau
-        m = sims.max()
-        lse = m + np.log(np.exp(sims - m).sum())
-        total += float(-sims[0] + lse)
-
-        coeff = np.exp(sims - lse)
-        coeff[0] -= 1.0
-        for (vec, kind, owner, t), c in zip(members, coeff):
-            if c == 0.0:
-                continue
-            dq, dv = _cosine_grads(rq, vec)
-            grads[i].d_question += (c / tau) * dq
-            if kind == "gold":
-                grads[owner].d_gold += (c / tau) * dv
-            else:
-                grads[owner].d_hards[t] += (c / tau) * dv
-
-    inv_b = 1.0 / B
-    for g in grads:
-        g.d_question *= inv_b
-        g.d_gold *= inv_b
-        for dh in g.d_hards:
-            dh *= inv_b
-    return total / B, grads
+    return loss, grads
 
 
 def contrastive_loss(batch: list[tuple[Vec64, Vec64, object]], tau: float) -> float:

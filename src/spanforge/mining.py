@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Span
-from .encoder import ForwardTrace, span_repr
+from .encoder import ForwardTrace
 from .metrics import normalize
-from .numeric import cosine_sim
 from .spandecode import PredictionSet
 
 MOST_SIMILAR = "most_similar"
@@ -55,8 +54,10 @@ def select_hard_negatives(
 
     Eligible candidates differ from the gold both by (start, end) position and
     by normalized text. most_similar returns the theta highest by cosine
-    similarity of pooled representations (ties by candidate rank); top1 the
-    first eligible by rank; random a uniform eligible draw from ``rng``.
+    similarity of mean-pooled token representations to the gold's (ties by
+    candidate rank), scoring all candidates with one normalised mat-vec; top1
+    the first eligible by rank; random a uniform eligible draw from ``rng``.
+    Raises ValueError when a pooled representation has zero norm.
     """
     gold_text = normalize(gold.text)
     eligible = [
@@ -74,7 +75,21 @@ def select_hard_negatives(
             raise ValueError("random mining needs an explicit rng")
         return [eligible[int(rng.integers(len(eligible)))]]
 
-    gold_vec = span_repr(trace, gold)
-    sims = [cosine_sim(span_repr(trace, span), gold_vec) for span in eligible]
-    order = sorted(range(len(eligible)), key=lambda i: (-sims[i], i))
+    # Mean-pool the gold and every eligible span in one gather from prefix
+    # sums of the token representations (padded with a zero row in front).
+    reprs = trace.token_reprs
+    starts = np.array([gold.start] + [s.start for s in eligible])
+    ends = np.array([gold.end] + [s.end for s in eligible])
+    p0, p1 = trace.enc.passage_region
+    if starts.min() < p0 or ends.max() > p1 or np.any(ends < starts):
+        raise ValueError(f"mined span outside passage region ({p0}, {p1}) or empty")
+    csum = np.zeros((reprs.shape[0] + 1, reprs.shape[1]))
+    np.cumsum(reprs, axis=0, out=csum[1:])
+    pooled = (csum[ends + 1] - csum[starts]) / (ends - starts + 1)[:, None]
+    norms = np.linalg.norm(pooled, axis=1)
+    if np.any(norms == 0.0):
+        raise ValueError("cosine similarity undefined for zero-norm input")
+    unit = pooled / norms[:, None]
+    sims = np.clip(unit[1:] @ unit[0], -1.0, 1.0)
+    order = np.argsort(-sims, kind="stable")
     return [eligible[i] for i in order[: strategy.theta]]

@@ -432,13 +432,22 @@ def combined_batch(params: ModelParams, items: Sequence[BatchItem], config: Trai
     the whole batch; the contrastive side averages over items that brought a
     negative. At alpha extremes the excluded side contributes no gradient at
     all (not even exact zeros added in).
+
+    One forward per item, then the same computation the training step runs on
+    the traces it already holds, so both give bitwise-equal results.
     """
+    return _combined_from_traces(params, items, [forward(params, it.enc) for it in items], config)
+
+
+def _combined_from_traces(
+    params: ModelParams, items: Sequence[BatchItem], traces: Sequence[ForwardTrace], config: TrainConfig
+) -> BatchResult:
+    """combined_batch on ``traces``, each item's forward under ``params``."""
     loss_cfg = config.loss
     alpha = loss_cfg.alpha
     B = len(items)
     if B == 0:
         raise ValueError("empty batch")
-    traces = [forward(params, it.enc) for it in items]
 
     hard_vals = []
     hard_ups: list[tuple[np.ndarray, np.ndarray]] = []
@@ -543,7 +552,7 @@ def finetune(
     encs, skipped = _encode_usable(config, train_examples, vocab)
     params = init.copy()
     if params.u.shape[0] != config.loss.k_frozen:
-        params = replace_u(params, np.zeros(config.loss.k_frozen))
+        params.u = np.zeros(config.loss.k_frozen)
         log.add(kind="setup_note", note="hard-weight logits re-initialized to match k_frozen")
     enc_cfg = replace(config.encoder, num_hard_weights=config.loss.k_frozen)
     config = replace(config, encoder=enc_cfg)
@@ -563,15 +572,19 @@ def finetune(
 
 def _combined_steps(params, config, encs, frozen_map: dict[str, list[Span]], log, batches: Batches) -> Iterator[StepResult]:
     """Combined-objective steps: refresh the frozen sets on cadence, mine (or
-    reuse) the hard negatives, then the loss and gradients of combined_batch."""
+    reuse) the hard negatives, then the loss and gradients of combined_batch,
+    all from one forward per example."""
     mine_cache: dict[str, tuple[int, list[Span]]] = {}
     for step, batch_encs in batches:
         if config.z_refresh_every > 0 and step > 0 and step % config.z_refresh_every == 0:
             frozen_map = {enc.id: _frozen_set(params, config, enc)[0].spans() for enc in encs}
             log.add(kind="z_refresh", step=step)
 
-        items, mined_log = _assemble_batch(params, config, batch_encs, frozen_map, mine_cache, step)
-        res = combined_batch(params, items, config)
+        items, traces, mined_log = _assemble_batch(params, config, batch_encs, frozen_map, mine_cache, step)
+        res = _combined_from_traces(params, items, traces, config)
+        # Drop the batch's traces before the yield, so they do not stay alive
+        # beside the next batch's and raise the peak memory.
+        del traces
         fields = dict(
             objective="combined",
             hard=res.hard,
@@ -584,12 +597,6 @@ def _combined_steps(params, config, encs, frozen_map: dict[str, list[Span]], log
         yield res.grads, res.combined, fields, follow
 
 
-def replace_u(params: ModelParams, new_u: np.ndarray) -> ModelParams:
-    out = params.copy()
-    out.u = np.asarray(new_u, dtype=np.float64).copy()
-    return out
-
-
 def _assemble_batch(
     params: ModelParams,
     config: TrainConfig,
@@ -597,18 +604,21 @@ def _assemble_batch(
     frozen_map: dict[str, list[Span]],
     mine_cache: dict[str, tuple[int, list[Span]]],
     step: int,
-) -> tuple[list[BatchItem], list[dict]]:
+) -> tuple[list[BatchItem], list[ForwardTrace], list[dict]]:
+    """The batch's items, one forward trace per item (mining and the loss
+    share it) and the ``mined`` log entries."""
     items = []
+    traces = []
     mined_log = []
     for enc in batch_encs:
         gold = enc.gold_in_sequence
+        trace = forward(params, enc)
         negs: list[Span] = []
         if config.loss.alpha > 0.0:
             cached = mine_cache.get(enc.id)
             if cached is not None and step - cached[0] < config.remine_every:
                 negs = cached[1]
             else:
-                trace = forward(params, enc)
                 dyn = topk_spans(trace, enc, config.loss.k_dynamic, config.max_answer_len)
                 rng = mining_rng(config.seed, enc.id, step) if config.loss.mining.variant == "random" else None
                 negs = select_hard_negatives(trace, dyn, gold, config.loss.mining, rng)
@@ -623,7 +633,8 @@ def _assemble_batch(
                     }
                 )
         items.append(BatchItem(enc=enc, gold=gold, frozen_spans=frozen_map[enc.id], neg_spans=negs))
-    return items, mined_log
+        traces.append(trace)
+    return items, traces, mined_log
 
 
 def run_eval(

@@ -130,6 +130,38 @@ class TestPipeline:
         assert all(a <= b for a, b in zip(ems, ems[1:]))
         assert report_csv.with_suffix(".json").exists()
 
+    def test_eval_honours_question_max_len(self, workdir, tmp_path):
+        from spanforge.corpus import Vocab, read_examples_jsonl
+        from spanforge.encoder import load_checkpoint
+        from spanforge.trainer import TrainConfig, run_eval
+
+        data = workdir / "data"
+        assert run(["train-base", "--base", str(workdir / "train.cfg"), "--data", str(data), "--out", str(tmp_path)]) == 0
+        ckpt = tmp_path / "base.ckpt"
+        report_csv = tmp_path / "report.csv"
+        assert (
+            run(
+                [
+                    "eval",
+                    "--ckpt", str(ckpt),
+                    "--data", str(data / "test.jsonl"),
+                    "--k", "1,3",
+                    "--out", str(report_csv),
+                    "--config", "question_max_len=1",
+                ]
+            )
+            == 0
+        )
+        enc_cfg, params = load_checkpoint(ckpt)
+        examples = read_examples_jsonl(data / "test.jsonl")
+        vocab = Vocab.load(data / "vocab.txt")
+        expected = run_eval(params, TrainConfig(encoder=enc_cfg, question_max_len=1), examples, vocab, k_list=(1, 3))
+        default = run_eval(params, TrainConfig(encoder=enc_cfg), examples, vocab, k_list=(1, 3))
+        got = EvalReport.load_json(report_csv.with_suffix(".json"))
+        assert got.em == expected.em
+        assert got.records == expected.records
+        assert got.records != default.records
+
     def test_ce_objective_needs_no_store(self, workdir, tmp_path):
         base_dir = workdir / "base"
         assert (

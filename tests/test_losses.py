@@ -239,6 +239,80 @@ class TestContrastive:
         assert max_rel_error(analytic, numeric) <= 1e-6
 
 
+def reference_contrastive_loss_grads(batch, tau):
+    """Per-pair double loop over every (question, member) cosine: the
+    independent reference for the matrix form."""
+
+    def unclipped_cosine(u, v):
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
+        if nu == 0.0 or nv == 0.0:
+            raise ValueError("zero-norm representation in contrastive loss")
+        return float(np.dot(u, v) / (nu * nv))
+
+    def cosine_grads(u, v):
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
+        psi = float(np.dot(u, v) / (nu * nv))
+        return v / (nu * nv) - psi * u / (nu * nu), u / (nu * nv) - psi * v / (nv * nv)
+
+    items = [(np.asarray(q, dtype=np.float64), np.asarray(g, dtype=np.float64), list(h)) for q, g, h in batch]
+    B = len(items)
+    d_q = [np.zeros_like(q) for q, _, _ in items]
+    d_g = [np.zeros_like(g) for _, g, _ in items]
+    d_h = [[np.zeros_like(h) for h in hards] for _, _, hards in items]
+    total = 0.0
+    for i, (rq, rg, hards) in enumerate(items):
+        # members[0] is the positive pair; (kind, owner, t) addresses the gradient
+        members = [(rg, "gold", i, -1)]
+        members += [(rh, "hard", i, t) for t, rh in enumerate(hards)]
+        members += [(items[n][1], "gold", n, -1) for n in range(B) if n != i]
+        sims = np.array([unclipped_cosine(rq, vec) for vec, _, _, _ in members]) / tau
+        m = sims.max()
+        lse = m + np.log(np.exp(sims - m).sum())
+        total += float(-sims[0] + lse)
+        coeff = np.exp(sims - lse)
+        coeff[0] -= 1.0
+        for (vec, kind, owner, t), c in zip(members, coeff):
+            dq, dv = cosine_grads(rq, vec)
+            d_q[i] += (c / tau) * dq
+            if kind == "gold":
+                d_g[owner] += (c / tau) * dv
+            else:
+                d_h[owner][t] += (c / tau) * dv
+    return total / B, [(q / B, g / B, [h / B for h in hs]) for q, g, hs in zip(d_q, d_g, d_h)]
+
+
+class TestContrastiveMatrixForm:
+    @pytest.mark.parametrize("B", [1, 2, 7])
+    @pytest.mark.parametrize("theta", [1, 3])
+    def test_matches_per_pair_reference(self, B, theta):
+        rng = np.random.default_rng(100 * B + theta)
+        for trial in range(5):
+            dim = int(rng.integers(2, 9))
+            # unequal hard counts: theta, fewer than theta, or none at all
+            counts = [theta] + [int(rng.integers(0, theta + 1)) for _ in range(B - 1)]
+            batch = [
+                (rng.normal(size=dim) * rng.uniform(0.1, 5.0), rng.normal(size=dim), [rng.normal(size=dim) for _ in range(c)])
+                for c in counts
+            ]
+            tau = float(rng.uniform(0.5, 20.0))
+            value, grads = contrastive_loss_grads(batch, tau)
+            ref_value, ref_grads = reference_contrastive_loss_grads(batch, tau)
+            assert abs(value - ref_value) <= 1e-12
+            for got, (dq, dg, dhs) in zip(grads, ref_grads):
+                np.testing.assert_allclose(got.d_question, dq, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got.d_gold, dg, rtol=0, atol=1e-12)
+                assert len(got.d_hards) == len(dhs)
+                for gh, rh in zip(got.d_hards, dhs):
+                    np.testing.assert_allclose(gh, rh, rtol=0, atol=1e-12)
+
+    def test_zero_norm_hard_rejected(self):
+        batch = [(np.ones(3), np.ones(3), [np.ones(3), np.zeros(3)]), (np.ones(3), -np.ones(3), None)]
+        with pytest.raises(ValueError, match="zero-norm"):
+            contrastive_loss_grads(batch, tau=1.0)
+
+
 class TestCombined:
     def test_extremes_and_midpoint(self):
         assert combined_loss(0.3, 0.7, 0.0) == 0.7

@@ -431,6 +431,42 @@ class TestTrainingLoop:
         assert len(refresh_log.of_kind("z_refresh")) == len(frozen_log.of_kind("step")) - 1
         assert [r for r in refresh_log.records if r["kind"] != "z_refresh"] == frozen_log.records
 
+    @pytest.mark.parametrize("variant", [{}, {"remine_every": 2}, {"loss": {"alpha": 0.0}}])
+    def test_one_forward_per_example_step(self, variant, monkeypatch):
+        import spanforge.trainer as trainer
+
+        ds = tiny_corpus()
+        cfg = tiny_config(ds, epochs=2, probe_count=0, eval_every=0, **variant)
+        base = init_params(cfg.encoder, cfg.seed)
+        store = {r["id"]: r for r in collect_candidates(base, cfg, ds.train[:20], ds.vocab)[0]}
+        calls = []
+        real_forward = trainer.forward
+
+        def counting_forward(params, enc):
+            calls.append(enc.id)
+            return real_forward(params, enc)
+
+        monkeypatch.setattr(trainer, "forward", counting_forward)
+        _, log = finetune(cfg, ds.train[:20], ds.vocab, store, base)
+        assert len(log.of_kind("step")) == 6
+        assert sorted(calls) == sorted(2 * list(store))
+
+    def test_combined_batch_equals_step_from_traces_bitwise(self):
+        from spanforge.trainer import _assemble_batch, _combined_from_traces, _frozen_spans_from_record
+
+        ds = tiny_corpus()
+        cfg = tiny_config(ds, loss=dict(alpha=0.5, k_frozen=4, k_dynamic=8))
+        params = init_params(cfg.encoder, seed=3)
+        encs, _ = _encode_usable(cfg, ds.train[:8], ds.vocab)
+        store = {r["id"]: r for r in collect_candidates(params, cfg, ds.train[:8], ds.vocab)[0]}
+        frozen = {enc.id: _frozen_spans_from_record(store[enc.id], enc, cfg.loss.k_frozen) for enc in encs}
+        items, traces, _ = _assemble_batch(params, cfg, encs, frozen, {}, 0)
+        assert any(it.neg_spans for it in items)
+        a = combined_batch(params, items, cfg)
+        b = _combined_from_traces(params, items, traces, cfg)
+        assert (a.combined, a.hard, a.contrast, a.contrastive_items) == (b.combined, b.hard, b.contrast, b.contrastive_items)
+        np.testing.assert_array_equal(flatten_params(a.grads), flatten_params(b.grads))
+
 
 class TestProbe:
     def test_replay_matches_fresh_decode(self):
