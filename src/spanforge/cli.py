@@ -5,8 +5,8 @@ axes, and report aggregation.
 Config files are flat KEY=VALUE text (one pair per line, # comments). Every
 documented key can also be overridden on the command line with
 ``--config KEY=VALUE``. Exit codes: 0 success, 1 usage error, 2 runtime
-failure. SPANFORGE_THREADS (>= 1) caps intra-run parallelism; the current
-implementation is single-threaded, so any cap is honored trivially.
+failure. SPANFORGE_THREADS is reserved: it is validated (an integer >= 1,
+else exit 2) and has no other effect; every command runs in one thread.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import EncodedExample, Span
-from .numeric import MASK_VALUE, Mat64, Vec64, masked_log_softmax, mean_pool, softmax
+from .numeric import MASK_VALUE, Mat64, Vec64, masked_log_softmax, pooling_matrix, softmax
 
 
 @dataclass(frozen=True)
@@ -288,20 +289,36 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream: UpstreamGrads) 
     )
 
 
+def span_bounds(enc: EncodedExample, spans: Sequence[Span]) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end positions of ``spans``; refuses one outside the passage region."""
+    starts = [s.start for s in spans]
+    ends = [s.end for s in spans]
+    p0, p1 = enc.passage_region
+    # builtin min/max: numpy's per-call overhead dominates on lists this short
+    if starts and (min(starts) < p0 or max(ends) > p1):
+        s = next(s for s in spans if s.start < p0 or s.end > p1)
+        raise ValueError(f"span ({s.start}, {s.end}) outside passage region ({p0}, {p1})")
+    return np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+
+
 def span_repr(trace: ForwardTrace, span: Span) -> Vec64:
     """Mean-pooled token representation of a passage span (sequence coords)."""
-    p0, p1 = trace.enc.passage_region
-    if not (p0 <= span.start and span.end <= p1):
-        raise ValueError(f"span ({span.start}, {span.end}) outside passage region ({p0}, {p1})")
-    return mean_pool(trace.token_reprs, range(span.start, span.end + 1))
+    starts, ends = span_bounds(trace.enc, [span])
+    return (pooling_matrix(trace.length, starts, ends) @ trace.token_reprs)[0]
+
+
+def question_bounds(enc: EncodedExample) -> tuple[int, int]:
+    """First and last position of the question; refuses an empty question."""
+    q0, q1 = enc.question_region
+    if q1 < q0:
+        raise ValueError(f"{enc.id}: empty question region")
+    return q0, q1
 
 
 def question_repr(trace: ForwardTrace) -> Vec64:
     """Mean-pooled representation of the question tokens."""
-    q0, q1 = trace.enc.question_region
-    if q1 < q0:
-        raise ValueError(f"{trace.enc.id}: empty question region")
-    return mean_pool(trace.token_reprs, range(q0, q1 + 1))
+    q0, q1 = question_bounds(trace.enc)
+    return (pooling_matrix(trace.length, [q0], [q1]) @ trace.token_reprs)[0]
 
 
 CHECKPOINT_MAGIC = b"SPANFORGE-CKPT-1\n"
@@ -327,18 +344,27 @@ def save_checkpoint(path: str | Path, config: EncoderConfig, params: ModelParams
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, ModelParams]:
+    """Read a checkpoint written by save_checkpoint.
+
+    Refuses a file whose field list differs from the layout its config
+    implies (names, order or shapes), a truncated field, and trailing bytes.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a spanforge checkpoint")
         header = json.loads(fh.readline().decode("utf-8"))
         config = EncoderConfig(**header["config"])
+        layout = param_shapes(config)
+        if header["fields"] != [{"name": name, "shape": list(shape)} for name, shape in layout]:
+            raise ValueError(f"{path}: field list does not match the parameter layout of its config")
         fields = {}
-        for entry in header["fields"]:
-            shape = tuple(entry["shape"])
+        for name, shape in layout:
             count = int(np.prod(shape))
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated checkpoint at field {entry['name']}")
-            fields[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+                raise ValueError(f"{path}: truncated checkpoint at field {name}")
+            fields[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last field")
     return config, ModelParams(**fields)

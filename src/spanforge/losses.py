@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Span
-from .encoder import ForwardTrace
+from .encoder import ForwardTrace, span_bounds
 from .mining import MiningStrategy
 from .numeric import Vec64
-from .spandecode import PredictionSet
 
 
 @dataclass(frozen=True)
@@ -37,16 +36,15 @@ class LossConfig:
             raise ValueError("k_frozen and k_dynamic must be >= 1")
 
 
-def _check_span(trace: ForwardTrace, span: Span) -> None:
-    p0, p1 = trace.enc.passage_region
-    if not (p0 <= span.start and span.end <= p1):
-        raise ValueError(f"span ({span.start}, {span.end}) outside passage region ({p0}, {p1})")
+def _gather(trace: ForwardTrace, spans: list[Span]) -> tuple[np.ndarray, np.ndarray, Vec64]:
+    """Starts, ends and log-probabilities of ``spans``, after the region check."""
+    starts, ends = span_bounds(trace.enc, spans)
+    return starts, ends, trace.start_logprobs[starts] + trace.end_logprobs[ends]
 
 
 def span_log_prob(trace: ForwardTrace, span: Span) -> float:
     """log P(start = span.start) + log P(end = span.end) under the trace."""
-    _check_span(trace, span)
-    return float(trace.start_logprobs[span.start] + trace.end_logprobs[span.end])
+    return float(_gather(trace, [span])[2][0])
 
 
 def ce_loss(trace: ForwardTrace, gold: Span) -> float:
@@ -54,45 +52,33 @@ def ce_loss(trace: ForwardTrace, gold: Span) -> float:
 
 
 def ce_loss_grads(trace: ForwardTrace, gold: Span) -> tuple[float, Vec64, Vec64]:
-    _check_span(trace, gold)
+    loss = -span_log_prob(trace, gold)
     n = trace.length
     d_slp = np.zeros(n)
     d_elp = np.zeros(n)
     d_slp[gold.start] = -1.0
     d_elp[gold.end] = -1.0
-    return -span_log_prob(trace, gold), d_slp, d_elp
+    return loss, d_slp, d_elp
 
 
-def _span_list(preds: PredictionSet | list[Span]) -> list[Span]:
-    if isinstance(preds, PredictionSet):
-        return preds.spans()
-    return list(preds)
-
-
-def mml_loss(trace: ForwardTrace, preds: PredictionSet | list[Span]) -> float:
+def mml_loss(trace: ForwardTrace, spans: list[Span]) -> float:
     """Negative log of the summed candidate probabilities (log-sum-exp form)."""
-    spans = _span_list(preds)
-    if not spans:
-        raise ValueError("marginal likelihood over an empty candidate set")
-    lps = np.array([span_log_prob(trace, s) for s in spans])
-    m = lps.max()
-    return float(-(m + np.log(np.exp(lps - m).sum())))
+    return mml_loss_grads(trace, spans)[0]
 
 
-def mml_loss_grads(trace: ForwardTrace, preds: PredictionSet | list[Span]) -> tuple[float, Vec64, Vec64]:
-    spans = _span_list(preds)
+def mml_loss_grads(trace: ForwardTrace, spans: list[Span]) -> tuple[float, Vec64, Vec64]:
     if not spans:
         raise ValueError("marginal likelihood over an empty candidate set")
-    lps = np.array([span_log_prob(trace, s) for s in spans])
+    starts, ends, lps = _gather(trace, spans)
     m = lps.max()
     lse = m + np.log(np.exp(lps - m).sum())
     posterior = np.exp(lps - lse)
     n = trace.length
     d_slp = np.zeros(n)
     d_elp = np.zeros(n)
-    for q, s in zip(posterior, spans):
-        d_slp[s.start] -= q
-        d_elp[s.end] -= q
+    # subtract.at accumulates repeated positions, in list order
+    np.subtract.at(d_slp, starts, posterior)
+    np.subtract.at(d_elp, ends, posterior)
     return float(-lse), d_slp, d_elp
 
 
@@ -102,35 +88,25 @@ def _rank_weights(u: Vec64) -> Vec64:
     return e / e.sum()
 
 
-def hard_loss(trace: ForwardTrace, preds: PredictionSet | list[Span], u: Vec64) -> float:
+def hard_loss(trace: ForwardTrace, spans: list[Span], u: Vec64) -> float:
     """Rank-weighted negative log-probability over the frozen candidate set."""
-    spans = _span_list(preds)
-    u = np.asarray(u, dtype=np.float64)
-    if len(spans) != u.shape[0]:
-        raise ValueError(f"candidate count {len(spans)} != weight count {u.shape[0]}")
-    w = _rank_weights(u)
-    lps = np.array([span_log_prob(trace, s) for s in spans])
-    return float(-(w * lps).sum())
+    return hard_loss_grads(trace, spans, u)[0]
 
 
-def hard_loss_grads(
-    trace: ForwardTrace, preds: PredictionSet | list[Span], u: Vec64
-) -> tuple[float, Vec64, Vec64, Vec64]:
+def hard_loss_grads(trace: ForwardTrace, spans: list[Span], u: Vec64) -> tuple[float, Vec64, Vec64, Vec64]:
     """Loss plus gradients for the log-prob vectors and the weight logits u."""
-    spans = _span_list(preds)
     u = np.asarray(u, dtype=np.float64)
     if len(spans) != u.shape[0]:
         raise ValueError(f"candidate count {len(spans)} != weight count {u.shape[0]}")
     w = _rank_weights(u)
-    lps = np.array([span_log_prob(trace, s) for s in spans])
+    starts, ends, lps = _gather(trace, spans)
     ell = -lps
     loss = float((w * ell).sum())
     n = trace.length
     d_slp = np.zeros(n)
     d_elp = np.zeros(n)
-    for wl, s in zip(w, spans):
-        d_slp[s.start] -= wl
-        d_elp[s.end] -= wl
+    np.subtract.at(d_slp, starts, w)
+    np.subtract.at(d_elp, ends, w)
     d_u = w * (ell - loss)
     return loss, d_slp, d_elp, d_u
 

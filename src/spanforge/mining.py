@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Span
-from .encoder import ForwardTrace
+from .encoder import ForwardTrace, span_bounds
 from .metrics import normalize
+from .numeric import pooling_matrix
 from .spandecode import PredictionSet
 
 MOST_SIMILAR = "most_similar"
@@ -55,8 +56,9 @@ def select_hard_negatives(
     Eligible candidates differ from the gold both by (start, end) position and
     by normalized text. most_similar returns the theta highest by cosine
     similarity of mean-pooled token representations to the gold's (ties by
-    candidate rank), scoring all candidates with one normalised mat-vec; top1
-    the first eligible by rank; random a uniform eligible draw from ``rng``.
+    candidate rank), pooling the gold and all candidates with one pooling
+    matrix and scoring them with one normalised mat-vec; top1 the first
+    eligible by rank; random a uniform eligible draw from ``rng``.
     Raises ValueError when a pooled representation has zero norm.
     """
     gold_text = normalize(gold.text)
@@ -75,17 +77,8 @@ def select_hard_negatives(
             raise ValueError("random mining needs an explicit rng")
         return [eligible[int(rng.integers(len(eligible)))]]
 
-    # Mean-pool the gold and every eligible span in one gather from prefix
-    # sums of the token representations (padded with a zero row in front).
-    reprs = trace.token_reprs
-    starts = np.array([gold.start] + [s.start for s in eligible])
-    ends = np.array([gold.end] + [s.end for s in eligible])
-    p0, p1 = trace.enc.passage_region
-    if starts.min() < p0 or ends.max() > p1 or np.any(ends < starts):
-        raise ValueError(f"mined span outside passage region ({p0}, {p1}) or empty")
-    csum = np.zeros((reprs.shape[0] + 1, reprs.shape[1]))
-    np.cumsum(reprs, axis=0, out=csum[1:])
-    pooled = (csum[ends + 1] - csum[starts]) / (ends - starts + 1)[:, None]
+    starts, ends = span_bounds(trace.enc, [gold, *eligible])
+    pooled = pooling_matrix(trace.length, starts, ends) @ trace.token_reprs
     norms = np.linalg.norm(pooled, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("cosine similarity undefined for zero-norm input")

@@ -8,7 +8,7 @@ share code with the paths it checks.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -67,19 +67,24 @@ def cosine_sim(u: Vec64, v: Vec64) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def mean_pool(rows: Mat64, index_set: Iterable[int]) -> Vec64:
-    """Arithmetic mean of the selected rows of a 2-d array."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError("mean_pool expects a 2-d array of row vectors")
-    idx = list(index_set)
-    if not idx:
-        raise ValueError("mean_pool over an empty index set")
-    n = rows.shape[0]
-    for i in idx:
-        if not 0 <= i < n:
-            raise ValueError(f"mean_pool index {i} out of range [0, {n})")
-    return rows[idx].mean(axis=0)
+def pooling_matrix(n: int, starts, ends) -> Mat64:
+    """Mean-pooling operator over inclusive row ranges of an n-row array.
+
+    Row r of the (len(starts), n) result averages rows ``starts[r]..ends[r]``,
+    so ``P @ rows`` pools and ``P.T @ grads`` is that pooling's exact
+    backward. Refuses a range that is empty or reaches outside [0, n).
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    if starts.ndim != 1 or starts.shape != ends.shape:
+        raise ValueError("pooling_matrix expects equal-length 1-d start and end arrays")
+    bad = np.flatnonzero((ends < starts) | (starts < 0) | (ends >= n))
+    if bad.size:
+        r = int(bad[0])
+        raise ValueError(f"pooling row {r} covers rows {starts[r]}..{ends[r]}: empty or outside [0, {n})")
+    cols = np.arange(n)
+    inside = (cols >= starts[:, None]) & (cols <= ends[:, None])
+    return inside / (ends - starts + 1)[:, None]
 
 
 def finite_diff_grad(f: Callable[[Vec64], float], x: Vec64, eps: float = 1e-5) -> Vec64:

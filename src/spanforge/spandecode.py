@@ -75,14 +75,14 @@ def topk_spans(trace: ForwardTrace, enc: EncodedExample, k: int, max_answer_len:
     only when fewer candidates exist.
     """
     p0, p1 = _check_decode_args(enc, k, max_answer_len)
-    starts, ends = [], []
-    for i in range(p0, p1 + 1):
-        j_hi = min(i + max_answer_len - 1, p1)
-        for j in range(i, j_hi + 1):
-            starts.append(i)
-            ends.append(j)
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
+    # each start with the next `width` ends, in (start, end) order: memory
+    # grows with passage length x width, not with the square of the passage
+    width = min(max_answer_len, p1 - p0 + 1)
+    starts = np.repeat(np.arange(p0, p1 + 1), width)
+    ends = starts + np.tile(np.arange(width), p1 - p0 + 1)
+    legal = ends <= p1
+    starts = starts[legal]
+    ends = ends[legal]
     scores = trace.start_logits[starts] + trace.end_logits[ends]
     order = np.lexsort((ends, starts, -scores))[:k]
     ranked = [

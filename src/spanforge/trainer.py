@@ -35,9 +35,9 @@ from .encoder import (
     backward,
     forward,
     init_params,
-    question_repr,
+    question_bounds,
     save_checkpoint,
-    span_repr,
+    span_bounds,
     zero_params,
 )
 from .losses import (
@@ -45,11 +45,11 @@ from .losses import (
     ce_loss_grads,
     combined_loss,
     contrastive_loss_grads,
-    hard_loss,
     hard_loss_grads,
 )
 from .mining import mining_rng, select_hard_negatives
 from .metrics import EvalReport, evaluate
+from .numeric import pooling_matrix
 from .spandecode import (
     PredictionSet,
     ScoredSpan,
@@ -452,15 +452,11 @@ def _combined_from_traces(
     hard_vals = []
     hard_ups: list[tuple[np.ndarray, np.ndarray]] = []
     d_u_total = np.zeros_like(params.u)
-    if alpha < 1.0:
-        for it, tr in zip(items, traces):
-            hl, d_slp, d_elp, d_u = hard_loss_grads(tr, it.frozen_spans, params.u)
-            hard_vals.append(hl)
-            hard_ups.append((d_slp, d_elp))
-            d_u_total += d_u
-    else:
-        for it, tr in zip(items, traces):
-            hard_vals.append(hard_loss(tr, it.frozen_spans, params.u))
+    for it, tr in zip(items, traces):
+        hl, d_slp, d_elp, d_u = hard_loss_grads(tr, it.frozen_spans, params.u)
+        hard_vals.append(hl)
+        hard_ups.append((d_slp, d_elp))
+        d_u_total += d_u
     hard_mean = float(sum(hard_vals) / B)
 
     contrast_val = 0.0
@@ -470,28 +466,20 @@ def _combined_from_traces(
         live = [i for i, it in enumerate(items) if it.neg_spans]
         n_contrastive = len(live)
         if live:
-            reprs = []
+            # one pooling matrix per item: rows question, gold, negatives
+            pools, reprs = [], []
             for i in live:
-                tr = traces[i]
-                reprs.append(
-                    (
-                        question_repr(tr),
-                        span_repr(tr, items[i].gold),
-                        [span_repr(tr, s) for s in items[i].neg_spans],
-                    )
-                )
+                it, tr = items[i], traces[i]
+                starts, ends = span_bounds(it.enc, [it.gold, *it.neg_spans])
+                q0, q1 = question_bounds(it.enc)
+                pool = pooling_matrix(tr.length, [q0, *starts], [q1, *ends])
+                pooled = pool @ tr.token_reprs
+                pools.append(pool)
+                reprs.append((pooled[0], pooled[1], pooled[2:]))
             contrast_val, item_grads = contrastive_loss_grads(reprs, loss_cfg.tau)
-            for i, ig in zip(live, item_grads):
-                it = items[i]
-                n = traces[i].length
-                d = params.token_emb.shape[1]
-                acc = np.zeros((n, d))
-                q0, q1 = it.enc.question_region
-                _spread(acc, q0, q1, ig.d_question)
-                _spread(acc, it.gold.start, it.gold.end, ig.d_gold)
-                for span, dh in zip(it.neg_spans, ig.d_hards):
-                    _spread(acc, span.start, span.end, dh)
-                token_grads[i] = alpha * acc
+            for i, pool, ig in zip(live, pools, item_grads):
+                d_pooled = np.vstack([ig.d_question, ig.d_gold, *ig.d_hards])
+                token_grads[i] = alpha * (pool.T @ d_pooled)
 
     total = zero_params(config.encoder)
     hard_scale = (1.0 - alpha) / B
@@ -516,12 +504,6 @@ def _combined_from_traces(
         grads=total,
         contrastive_items=n_contrastive,
     )
-
-
-def _spread(acc: np.ndarray, first: int, last: int, grad: np.ndarray) -> None:
-    # mean-pool backward: each pooled row receives grad / span length
-    count = last - first + 1
-    acc[first : last + 1] += grad / count
 
 
 def _frozen_spans_from_record(rec: dict, enc: EncodedExample, k: int) -> list[Span]:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -274,3 +275,39 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def _rewrite(self, tmp_path, edit_header=None, tail=b""):
+        cfg = tiny_config()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, cfg, init_params(cfg, seed=4))
+        magic, header_line, blobs = path.read_bytes().split(b"\n", 2)
+        if edit_header is not None:
+            header = json.loads(header_line)
+            edit_header(header)
+            header_line = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(magic + b"\n" + header_line + b"\n" + blobs + tail)
+        return path
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self._rewrite(tmp_path, tail=b"\0" * 8)
+        with pytest.raises(ValueError, match="trailing bytes") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_missing_field_rejected(self, tmp_path):
+        def drop_u(header):
+            header["fields"] = [f for f in header["fields"] if f["name"] != "u"]
+
+        path = self._rewrite(tmp_path, drop_u)
+        with pytest.raises(ValueError, match="field list") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_config_disagreeing_with_field_shapes_rejected(self, tmp_path):
+        def shrink_vocab(header):
+            header["config"]["vocab_size"] = 10
+
+        path = self._rewrite(tmp_path, shrink_vocab)
+        with pytest.raises(ValueError, match="field list") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)

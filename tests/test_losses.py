@@ -159,6 +159,63 @@ class TestHard:
         assert max_rel_error(d_u, numeric) <= 1e-6
 
 
+def reference_span_grads(trace, spans, weights):
+    """Per-span loop scatter of -weights onto the start/end log-prob vectors."""
+    d_slp = np.zeros(trace.length)
+    d_elp = np.zeros(trace.length)
+    for wl, s in zip(weights, spans):
+        d_slp[s.start] -= wl
+        d_elp[s.end] -= wl
+    return d_slp, d_elp
+
+
+class TestSpanGatherBitwise:
+    """The array gather and scatter against per-span loops, with repeated positions."""
+
+    def _case(self, seed):
+        enc = make_enc([f"p{i}" for i in range(5)])
+        rng = np.random.default_rng(seed)
+        tr = fake_trace(enc, rng.normal(size=5), rng.normal(size=5))
+        # starts 0 and 1 and ends 2 and 4 each repeat, so a fancy-index
+        # assignment that keeps one update per position gives other numbers
+        pairs = [(0, 2), (0, 0), (1, 2), (0, 4), (1, 4), (2, 2), (1, 1), (3, 4)]
+        return tr, [region_span(enc, i, j) for i, j in pairs]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hard_loss_grads(self, seed):
+        tr, z = self._case(seed)
+        u = np.random.default_rng(seed + 10).normal(size=len(z))
+        loss, d_slp, d_elp, d_u = hard_loss_grads(tr, z, u)
+        e = np.exp(u - u.max())
+        w = e / e.sum()
+        ell = -np.array([tr.start_logprobs[s.start] + tr.end_logprobs[s.end] for s in z])
+        ref_loss = float((w * ell).sum())
+        ref_slp, ref_elp = reference_span_grads(tr, z, w)
+        assert loss == ref_loss and hard_loss(tr, z, u) == ref_loss
+        np.testing.assert_array_equal(d_slp, ref_slp)
+        np.testing.assert_array_equal(d_elp, ref_elp)
+        np.testing.assert_array_equal(d_u, w * (ell - ref_loss))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mml_loss_grads(self, seed):
+        tr, z = self._case(seed)
+        loss, d_slp, d_elp = mml_loss_grads(tr, z)
+        lps = np.array([tr.start_logprobs[s.start] + tr.end_logprobs[s.end] for s in z])
+        m = lps.max()
+        lse = m + np.log(np.exp(lps - m).sum())
+        ref_slp, ref_elp = reference_span_grads(tr, z, np.exp(lps - lse))
+        assert loss == float(-lse) and mml_loss(tr, z) == float(-lse)
+        np.testing.assert_array_equal(d_slp, ref_slp)
+        np.testing.assert_array_equal(d_elp, ref_elp)
+
+    def test_out_of_region_candidate_rejected(self, enc4):
+        z = [region_span(enc4, 0, 0), Span(0, 0, "[CLS]")]
+        with pytest.raises(ValueError):
+            hard_loss_grads(uniform_trace(enc4), z, np.zeros(2))
+        with pytest.raises(ValueError):
+            mml_loss_grads(uniform_trace(enc4), z)
+
+
 class TestDegeneracies:
     def test_single_gold_candidate_all_equal(self, enc4):
         rng = np.random.default_rng(8)

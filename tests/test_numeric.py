@@ -11,7 +11,7 @@ from spanforge.numeric import (
     finite_diff_grad,
     masked_log_softmax,
     max_rel_error,
-    mean_pool,
+    pooling_matrix,
     softmax,
 )
 
@@ -93,27 +93,43 @@ class TestCosine:
         assert abs(cosine_sim(c * u, v) - cosine_sim(u, v)) <= 1e-12
 
 
-class TestMeanPool:
+class TestPoolingMatrix:
     def test_singleton_identity(self):
         rows = np.array([[2.0, 4.0]])
-        np.testing.assert_array_equal(mean_pool(rows, [0]), [2.0, 4.0])
+        np.testing.assert_array_equal(pooling_matrix(1, [0], [0]) @ rows, [[2.0, 4.0]])
 
     def test_midpoint(self):
         rows = np.array([[0.0, 0.0], [2.0, 2.0]])
-        np.testing.assert_allclose(mean_pool(rows, [0, 1]), [1.0, 1.0])
+        np.testing.assert_allclose(pooling_matrix(2, [0], [1]) @ rows, [[1.0, 1.0]])
 
-    def test_selected_rows(self):
-        # hand sum of rows 0 and 2 divided by 2
+    def test_several_rows(self):
+        # hand means of rows 0..1, 1..2 and 2..2
         rows = np.array([[1.0, 3.0], [3.0, 1.0], [5.0, 5.0]])
-        np.testing.assert_allclose(mean_pool(rows, [0, 2]), [3.0, 4.0])
+        got = pooling_matrix(3, [0, 1, 2], [1, 2, 2]) @ rows
+        np.testing.assert_allclose(got, [[2.0, 2.0], [4.0, 3.0], [5.0, 5.0]])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mean_pool(np.ones((2, 2)), [])
+            pooling_matrix(2, [1], [0])
+        with pytest.raises(ValueError):
+            pooling_matrix(2, [0, 1], [1, 0])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            mean_pool(np.ones((2, 2)), [2])
+            pooling_matrix(2, [0], [2])
+        with pytest.raises(ValueError):
+            pooling_matrix(2, [-1], [0])
+
+    def test_transpose_is_adjoint(self):
+        # <P X, G> = <X, P^T G>: the transpose is the pooling's backward
+        rng = np.random.default_rng(0)
+        n, d = 9, 4
+        starts = rng.integers(0, n, size=6)
+        ends = np.minimum(starts + rng.integers(0, 4, size=6), n - 1)
+        pool = pooling_matrix(n, starts, ends)
+        x = rng.normal(size=(n, d))
+        g = rng.normal(size=(6, d))
+        assert abs(np.sum((pool @ x) * g) - np.sum(x * (pool.T @ g))) <= 1e-12
 
 
 class TestFiniteDiff:

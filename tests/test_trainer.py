@@ -277,6 +277,24 @@ class TestCombinedBatch:
         assert np.all(res.grads.u == 0.0)
 
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_empty_question_refused(self, alpha):
+        from conftest import make_enc
+        from spanforge.corpus import Span
+
+        enc = make_enc(["a", "b", "c"], question_tokens=())
+        p0, _ = enc.passage_region
+        cfg = TrainConfig(
+            encoder=EncoderConfig(vocab_size=104, d_model=4, d_ff=4, max_len=8, num_hard_weights=1),
+            loss=LossConfig(k_frozen=1, k_dynamic=4, alpha=alpha),
+        )
+        params = init_params(cfg.encoder, seed=0)
+        item = BatchItem(enc=enc, gold=enc.gold_in_sequence, frozen_spans=[enc.gold_in_sequence],
+                         neg_spans=[Span(p0 + 1, p0 + 1, "b")])
+        with pytest.raises(ValueError, match="empty question region"):
+            combined_batch(params, [item], cfg)
+
+
 class TestFinetune:
     def _setup(self, tmp_path, **cfg_kw):
         ds = tiny_corpus(n=60)
