@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -54,6 +55,18 @@ class Span:
 
 
 @dataclass(frozen=True)
+class SpanIndex:
+    """Spans as two parallel int arrays of inclusive (start, end) positions,
+    with no text; ``len`` is the number of spans."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+
+@dataclass(frozen=True)
 class Example:
     """One (question, passage, gold answer span) training/eval unit."""
 
@@ -79,6 +92,10 @@ class EncodedExample:
     Regions are inclusive (first, last) position pairs in sequence
     coordinates. ``gold_in_sequence`` is None and ``usable`` False when
     truncation cut the gold span.
+
+    Passage tokens are non-empty and hold no whitespace (construction
+    refuses others), so two spans have equal ``normalize``d text exactly when
+    their windows of ``passage_keys`` are equal.
     """
 
     id: str
@@ -89,6 +106,19 @@ class EncodedExample:
     gold_in_sequence: Span | None
     usable: bool
     passage_tokens: tuple[str, ...]
+
+    def __post_init__(self):
+        if " ".join(self.passage_tokens).split() != list(self.passage_tokens):
+            bad = next(tok for tok in self.passage_tokens if tok.split() != [tok])
+            raise CorpusError(f"{self.id}: passage token {bad!r} is empty or holds whitespace")
+
+    @cached_property
+    def passage_keys(self) -> np.ndarray:
+        """One int per passage token, equal for two tokens exactly when their
+        lowercased forms are equal. Built on first read: only text matching
+        and mining read it."""
+        ids: dict[str, int] = {}
+        return np.array([ids.setdefault(tok.lower(), len(ids)) for tok in self.passage_tokens], dtype=np.int64)
 
     @property
     def length(self) -> int:
@@ -417,7 +447,8 @@ def encode(example: Example, vocab: Vocab, max_len: int, question_max_len: int =
 
     The question is truncated first to its own cap; the passage then fills the
     remaining budget. If truncation cuts the gold span the encoding is flagged
-    unusable rather than silently mislabelled.
+    unusable rather than silently mislabelled. A kept passage token that is
+    empty or holds whitespace is refused with a CorpusError naming the example.
     """
     q = list(example.question[:question_max_len])
     budget = max_len - len(q) - 3

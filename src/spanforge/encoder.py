@@ -11,13 +11,13 @@ probability mass ever lands on question or special tokens.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import EncodedExample, Span
+from .corpus import EncodedExample, Span, SpanIndex
 from .numeric import MASK_VALUE, Mat64, Vec64, masked_log_softmax, pooling_matrix, softmax
 
 
@@ -216,8 +216,16 @@ def _logprob_to_logit_grad(d_logprob: Vec64, probs: Vec64) -> Vec64:
     return d_logprob - probs * d_logprob.sum()
 
 
-def backward(params: ModelParams, trace: ForwardTrace, upstream: UpstreamGrads) -> ModelParams:
-    """Exact gradient of the upstream-weighted objective w.r.t. every parameter."""
+def backward(
+    params: ModelParams, trace: ForwardTrace, upstream: UpstreamGrads, into: ModelParams | None = None
+) -> ModelParams:
+    """Exact gradient of the upstream-weighted objective w.r.t. every parameter.
+
+    The gradient is added into ``into`` (a fresh zero ModelParams when None),
+    which is returned, so a batch accumulates into one buffer. Each field
+    receives the same floating-point additions as adding a separately
+    computed gradient would make.
+    """
     n = trace.length
     d = params.token_emb.shape[1]
     config_k = params.u.shape[0]
@@ -232,6 +240,11 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream: UpstreamGrads) 
 
     d_sl = _logprob_to_logit_grad(_vec(upstream.d_start_logprob, "d_start_logprob"), trace.start_probs)
     d_el = _logprob_to_logit_grad(_vec(upstream.d_end_logprob, "d_end_logprob"), trace.end_probs)
+    g_u = None
+    if upstream.d_u is not None:
+        g_u = np.asarray(upstream.d_u, dtype=np.float64)
+        if g_u.shape != (config_k,):
+            raise ValueError(f"d_u has shape {g_u.shape}, expected ({config_k},)")
 
     d_h2 = np.outer(d_sl, params.head_w[0]) + np.outer(d_el, params.head_w[1])
     if upstream.d_token_reprs is not None:
@@ -239,13 +252,17 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream: UpstreamGrads) 
         if dtr.shape != (n, d):
             raise ValueError(f"d_token_reprs has shape {dtr.shape}, expected ({n}, {d})")
         d_h2 = d_h2 + dtr
-    g_head_w = np.vstack([d_sl @ trace.token_reprs, d_el @ trace.token_reprs])
-    g_head_b = np.array([d_sl.sum(), d_el.sum()])
+    if into is None:
+        into = ModelParams(**{f: np.zeros_like(a) for f, a in params.arrays()})
+    into.head_w[0] += d_sl @ trace.token_reprs
+    into.head_w[1] += d_el @ trace.token_reprs
+    into.head_b[0] += d_sl.sum()
+    into.head_b[1] += d_el.sum()
 
     d_act = d_h2 @ params.w2.T
-    g_w2 = trace.ffn_act.T @ d_h2
+    into.w2 += trace.ffn_act.T @ d_h2
     d_pre = d_act * (trace.ffn_pre > 0.0)
-    g_w1 = trace.h1.T @ d_pre
+    into.w1 += trace.h1.T @ d_pre
     d_h1 = d_h2 + d_pre @ params.w1.T
 
     d_ctx = d_h1
@@ -257,48 +274,35 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream: UpstreamGrads) 
     d_qm = (d_scores @ trace.km) * scale
     d_km = (d_scores.T @ trace.qm) * scale
 
-    g_wq = trace.h0.T @ d_qm
-    g_wk = trace.h0.T @ d_km
-    g_wv = trace.h0.T @ d_vm
+    into.wq += trace.h0.T @ d_qm
+    into.wk += trace.h0.T @ d_km
+    into.wv += trace.h0.T @ d_vm
     d_h0 = d_h1 + d_qm @ params.wq.T + d_km @ params.wk.T + d_vm @ params.wv.T
 
-    g_token = np.zeros_like(params.token_emb)
-    np.add.at(g_token, trace.ids, d_h0)
-    g_pos = np.zeros_like(params.pos_emb)
-    g_pos[:n] = d_h0
-
-    if upstream.d_u is not None:
-        g_u = np.asarray(upstream.d_u, dtype=np.float64)
-        if g_u.shape != (config_k,):
-            raise ValueError(f"d_u has shape {g_u.shape}, expected ({config_k},)")
-        g_u = g_u.copy()
-    else:
-        g_u = np.zeros(config_k, dtype=np.float64)
-
-    return ModelParams(
-        token_emb=g_token,
-        pos_emb=g_pos,
-        wq=g_wq,
-        wk=g_wk,
-        wv=g_wv,
-        w1=g_w1,
-        w2=g_w2,
-        head_w=g_head_w,
-        head_b=g_head_b,
-        u=g_u,
-    )
+    # Sum each distinct token's rows in sequence order, then add the sums in:
+    # the same additions as scattering into a zero (vocab, d) gradient first.
+    uniq, inverse = np.unique(trace.ids, return_inverse=True)
+    block = np.zeros((uniq.size, d))
+    np.add.at(block, inverse, d_h0)
+    into.token_emb[uniq] += block
+    into.pos_emb[:n] += d_h0
+    if g_u is not None:
+        into.u += g_u
+    return into
 
 
-def span_bounds(enc: EncodedExample, spans: Sequence[Span]) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end positions of ``spans``; refuses one outside the passage region."""
-    starts = [s.start for s in spans]
-    ends = [s.end for s in spans]
+def span_bounds(enc: EncodedExample, spans: Sequence[Span] | SpanIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end positions of ``spans``; refuses one that is empty or
+    outside the passage region."""
+    if not isinstance(spans, SpanIndex):
+        starts = np.array([s.start for s in spans], dtype=np.int64)
+        spans = SpanIndex(starts, np.array([s.end for s in spans], dtype=np.int64))
     p0, p1 = enc.passage_region
-    # builtin min/max: numpy's per-call overhead dominates on lists this short
-    if starts and (min(starts) < p0 or max(ends) > p1):
-        s = next(s for s in spans if s.start < p0 or s.end > p1)
-        raise ValueError(f"span ({s.start}, {s.end}) outside passage region ({p0}, {p1})")
-    return np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+    bad = np.flatnonzero((spans.starts < p0) | (spans.ends > p1) | (spans.ends < spans.starts))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"span ({spans.starts[i]}, {spans.ends[i]}) empty or outside passage region ({p0}, {p1})")
+    return spans.starts, spans.ends
 
 
 def span_repr(trace: ForwardTrace, span: Span) -> Vec64:
@@ -343,21 +347,48 @@ def save_checkpoint(path: str | Path, config: EncoderConfig, params: ModelParams
             fh.write(arr.tobytes())
 
 
+def _checkpoint_config(path, header_line: bytes) -> EncoderConfig:
+    """The EncoderConfig of a checkpoint header line, whose field list must
+    match the layout that config implies; refuses a malformed header."""
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: checkpoint header is not JSON ({exc})") from None
+    keys = sorted(header) if isinstance(header, dict) else None
+    if keys != ["config", "dtype", "fields"]:
+        raise ValueError(f"{path}: checkpoint header keys {keys} are not ['config', 'dtype', 'fields']")
+    if header["dtype"] != "<f8":
+        raise ValueError(f"{path}: unsupported checkpoint dtype {header['dtype']!r}")
+    cfg = header["config"]
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: checkpoint config is not a JSON object")
+    unknown = sorted(set(cfg) - {f.name for f in dataclass_fields(EncoderConfig)})
+    if unknown:
+        raise ValueError(f"{path}: checkpoint config has unknown keys {unknown}")
+    try:
+        config = EncoderConfig(**cfg)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: invalid checkpoint config ({exc})") from None
+    if header["fields"] != [{"name": name, "shape": list(shape)} for name, shape in param_shapes(config)]:
+        raise ValueError(f"{path}: field list does not match the parameter layout of its config")
+    return config
+
+
 def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, ModelParams]:
     """Read a checkpoint written by save_checkpoint.
 
-    Refuses a file whose field list differs from the layout its config
-    implies (names, order or shapes), a truncated field, and trailing bytes.
+    Every refusal is a ValueError naming the path: a header that is not a
+    JSON object with exactly the keys config, dtype and fields, a dtype other
+    than "<f8", a config that EncoderConfig refuses (unknown keys included), a
+    field list that differs from the layout its config implies (names, order
+    or shapes), a truncated field, and trailing bytes.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a spanforge checkpoint")
-        header = json.loads(fh.readline().decode("utf-8"))
-        config = EncoderConfig(**header["config"])
+        config = _checkpoint_config(path, fh.readline())
         layout = param_shapes(config)
-        if header["fields"] != [{"name": name, "shape": list(shape)} for name, shape in layout]:
-            raise ValueError(f"{path}: field list does not match the parameter layout of its config")
         fields = {}
         for name, shape in layout:
             count = int(np.prod(shape))

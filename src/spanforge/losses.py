@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Span
+from .corpus import Span, SpanIndex
 from .encoder import ForwardTrace, span_bounds
 from .mining import MiningStrategy
 from .numeric import Vec64
@@ -36,7 +36,11 @@ class LossConfig:
             raise ValueError("k_frozen and k_dynamic must be >= 1")
 
 
-def _gather(trace: ForwardTrace, spans: list[Span]) -> tuple[np.ndarray, np.ndarray, Vec64]:
+# A candidate list is either Span objects or a SpanIndex of position arrays.
+Spans = list[Span] | SpanIndex
+
+
+def _gather(trace: ForwardTrace, spans: Spans) -> tuple[np.ndarray, np.ndarray, Vec64]:
     """Starts, ends and log-probabilities of ``spans``, after the region check."""
     starts, ends = span_bounds(trace.enc, spans)
     return starts, ends, trace.start_logprobs[starts] + trace.end_logprobs[ends]
@@ -48,11 +52,16 @@ def span_log_prob(trace: ForwardTrace, span: Span) -> float:
 
 
 def ce_loss(trace: ForwardTrace, gold: Span) -> float:
-    return -span_log_prob(trace, gold)
+    return ce_loss_grads(trace, gold)[0]
 
 
 def ce_loss_grads(trace: ForwardTrace, gold: Span) -> tuple[float, Vec64, Vec64]:
-    loss = -span_log_prob(trace, gold)
+    # One span: index the two log-probs directly rather than through the
+    # array gather, whose per-call cost is most of this function's.
+    p0, p1 = trace.enc.passage_region
+    if gold.start < p0 or gold.end > p1:
+        raise ValueError(f"span ({gold.start}, {gold.end}) outside passage region ({p0}, {p1})")
+    loss = -float(trace.start_logprobs[gold.start] + trace.end_logprobs[gold.end])
     n = trace.length
     d_slp = np.zeros(n)
     d_elp = np.zeros(n)
@@ -61,12 +70,12 @@ def ce_loss_grads(trace: ForwardTrace, gold: Span) -> tuple[float, Vec64, Vec64]
     return loss, d_slp, d_elp
 
 
-def mml_loss(trace: ForwardTrace, spans: list[Span]) -> float:
+def mml_loss(trace: ForwardTrace, spans: Spans) -> float:
     """Negative log of the summed candidate probabilities (log-sum-exp form)."""
     return mml_loss_grads(trace, spans)[0]
 
 
-def mml_loss_grads(trace: ForwardTrace, spans: list[Span]) -> tuple[float, Vec64, Vec64]:
+def mml_loss_grads(trace: ForwardTrace, spans: Spans) -> tuple[float, Vec64, Vec64]:
     if not spans:
         raise ValueError("marginal likelihood over an empty candidate set")
     starts, ends, lps = _gather(trace, spans)
@@ -88,12 +97,12 @@ def _rank_weights(u: Vec64) -> Vec64:
     return e / e.sum()
 
 
-def hard_loss(trace: ForwardTrace, spans: list[Span], u: Vec64) -> float:
+def hard_loss(trace: ForwardTrace, spans: Spans, u: Vec64) -> float:
     """Rank-weighted negative log-probability over the frozen candidate set."""
     return hard_loss_grads(trace, spans, u)[0]
 
 
-def hard_loss_grads(trace: ForwardTrace, spans: list[Span], u: Vec64) -> tuple[float, Vec64, Vec64, Vec64]:
+def hard_loss_grads(trace: ForwardTrace, spans: Spans, u: Vec64) -> tuple[float, Vec64, Vec64, Vec64]:
     """Loss plus gradients for the log-prob vectors and the weight logits u."""
     u = np.asarray(u, dtype=np.float64)
     if len(spans) != u.shape[0]:

@@ -121,7 +121,7 @@ def evaluate(
         enc = encode(ex, vocab, config.max_len, question_max_len)
         trace = forward(params, enc)
         preds = topk_spans(trace, enc, k_max, max_answer_len)
-        texts = [s.span.text for s in preds.ranked]
+        texts = preds.texts()
         top1 = texts[0] if texts else ""
         rec = {
             "id": ex.id,

@@ -2,22 +2,23 @@
 
 The default strategy picks the candidate whose pooled representation is most
 cosine-similar to the gold answer's while not being the gold (neither by
-position nor by normalized text). Two ablation strategies are provided: the
-top-ranked non-gold prediction, and a uniform random eligible candidate.
+position nor by normalized text, which is compared on token keys). Two
+ablation strategies are provided: the top-ranked non-gold prediction, and a
+uniform random eligible candidate.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import Span
-from .encoder import ForwardTrace, span_bounds
-from .metrics import normalize
+from .corpus import Span, SpanIndex, span_text
+from .encoder import ForwardTrace
 from .numeric import pooling_matrix
-from .spandecode import PredictionSet
+from .spandecode import PredictionSet, text_matches
 
 MOST_SIMILAR = "most_similar"
 TOP1 = "top1"
@@ -44,6 +45,80 @@ def mining_rng(base_seed: int, example_id: str, step: int) -> np.random.Generato
     )
 
 
+def mine_batch(
+    traces: Sequence[ForwardTrace],
+    starts: np.ndarray,
+    ends: np.ndarray,
+    counts: np.ndarray,
+    golds: Sequence[Span],
+    strategy: MiningStrategy,
+    rngs: Sequence[np.random.Generator | None],
+) -> list[SpanIndex]:
+    """Hard negatives of every example; an empty SpanIndex signals skip-contrastive.
+
+    Row b of the (B, K) ``starts``/``ends`` holds example b's counts[b]
+    ranked candidates (sequence positions), then padding. Eligible
+    candidates differ from the gold both by position and by normalized text,
+    compared on the passage's token keys. most_similar takes the theta
+    highest by cosine similarity of mean-pooled token representations to the
+    gold's (ties by candidate rank), pooling the gold and the eligible
+    candidates with one pooling matrix and scoring them with one normalised
+    mat-vec; top1 the first eligible by rank; random a uniform eligible draw
+    from the example's generator. Refuses a span outside the passage region,
+    and a pooled representation of zero norm.
+    """
+    encs = [tr.enc for tr in traces]
+    B, K = starts.shape
+    regions = np.array([enc.passage_region for enc in encs]).reshape(B, 2)
+    p0, p1 = regions[:, :1], regions[:, 1:]
+    gold_starts = np.array([g.start for g in golds])
+    gold_ends = np.array([g.end for g in golds])
+    # column 0 is the gold, the rest the candidates
+    all_starts = np.concatenate([gold_starts[:, None], starts], axis=1)
+    all_ends = np.concatenate([gold_ends[:, None], ends], axis=1)
+    valid = np.arange(K + 1) <= counts[:, None]
+    outside = np.argwhere(valid & ((all_starts < p0) | (all_ends > p1)))
+    if outside.size:
+        b, c = outside[0]
+        span = (all_starts[b, c], all_ends[b, c])
+        raise ValueError(f"span ({span[0]}, {span[1]}) outside passage region ({p0[b, 0]}, {p1[b, 0]})")
+
+    keys = np.full((B, max(len(enc.passage_keys) for enc in encs)), -1, dtype=np.int64)
+    for b, enc in enumerate(encs):
+        keys[b, : len(enc.passage_keys)] = enc.passage_keys
+    same_text = text_matches(keys, starts - p0, ends - p0, gold_starts - p0[:, 0], gold_ends - p0[:, 0])
+    same_place = (starts == gold_starts[:, None]) & (ends == gold_ends[:, None])
+    eligible = valid[:, 1:] & ~same_place & ~same_text
+
+    picked = []
+    for b in range(B):
+        idx = np.flatnonzero(eligible[b])
+        if idx.size:
+            idx = _pick(strategy, idx, traces[b], starts[b], ends[b], golds[b], rngs[b])
+        picked.append(SpanIndex(starts[b, idx], ends[b, idx]))
+    return picked
+
+
+def _pick(strategy, eligible, trace, starts, ends, gold, rng) -> np.ndarray:
+    """The chosen entries of the non-empty, rank-ordered ``eligible`` indices."""
+    if strategy.variant == TOP1:
+        return eligible[:1]
+    if strategy.variant == RANDOM:
+        if rng is None:
+            raise ValueError("random mining needs an explicit rng")
+        return eligible[[int(rng.integers(eligible.size))]]
+    rows = pooling_matrix(
+        trace.length, np.append(gold.start, starts[eligible]), np.append(gold.end, ends[eligible])
+    )
+    pooled = rows @ trace.token_reprs
+    norms = np.linalg.norm(pooled, axis=1)
+    if np.any(norms == 0.0):
+        raise ValueError("cosine similarity undefined for zero-norm input")
+    unit = pooled / norms[:, None]
+    sims = np.clip(unit[1:] @ unit[0], -1.0, 1.0)
+    return eligible[np.argsort(-sims, kind="stable")[: strategy.theta]]
+
+
 def select_hard_negatives(
     trace: ForwardTrace,
     candidates: PredictionSet,
@@ -53,36 +128,10 @@ def select_hard_negatives(
 ) -> list[Span]:
     """Pick hard negatives from the candidate set; [] signals skip-contrastive.
 
-    Eligible candidates differ from the gold both by (start, end) position and
-    by normalized text. most_similar returns the theta highest by cosine
-    similarity of mean-pooled token representations to the gold's (ties by
-    candidate rank), pooling the gold and all candidates with one pooling
-    matrix and scoring them with one normalised mat-vec; top1 the first
-    eligible by rank; random a uniform eligible draw from ``rng``.
-    Raises ValueError when a pooled representation has zero norm.
+    The one-example case of ``mine_batch``: the candidates keep their rank
+    order, and the picked spans get their text from the passage.
     """
-    gold_text = normalize(gold.text)
-    eligible = [
-        s.span
-        for s in candidates.ranked
-        if s.span.positions != gold.positions and normalize(s.span.text) != gold_text
-    ]
-    if not eligible:
-        return []
-
-    if strategy.variant == TOP1:
-        return [eligible[0]]
-    if strategy.variant == RANDOM:
-        if rng is None:
-            raise ValueError("random mining needs an explicit rng")
-        return [eligible[int(rng.integers(len(eligible)))]]
-
-    starts, ends = span_bounds(trace.enc, [gold, *eligible])
-    pooled = pooling_matrix(trace.length, starts, ends) @ trace.token_reprs
-    norms = np.linalg.norm(pooled, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("cosine similarity undefined for zero-norm input")
-    unit = pooled / norms[:, None]
-    sims = np.clip(unit[1:] @ unit[0], -1.0, 1.0)
-    order = np.argsort(-sims, kind="stable")
-    return [eligible[i] for i in order[: strategy.theta]]
+    (picked,) = mine_batch(
+        [trace], candidates.starts[None], candidates.ends[None], np.array([len(candidates)]), [gold], strategy, [rng]
+    )
+    return [Span(s, e, span_text(trace.enc, s, e)) for s, e in zip(picked.starts.tolist(), picked.ends.tolist())]

@@ -1,18 +1,22 @@
 """Top-k span extraction from start/end logits, frozen candidate-set
 construction with a gold-insertion guarantee, and an independent brute-force
 decoding oracle for the test suite.
+
+Candidate sets are index arrays: decoding, freezing and mining work on
+(start, end) positions, and span text is built from the passage only where a
+caller reads it (``PredictionSet.ranked``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import EncodedExample, Span, span_text
+from .corpus import EncodedExample, Span, SpanIndex, span_text
 from .encoder import ForwardTrace
 
 FROZEN = "frozen"
@@ -26,34 +30,78 @@ class ScoredSpan:
     log_prob: float
 
 
-@dataclass
+@dataclass(eq=False)
 class PredictionSet:
-    """Ranked candidate spans; ``kind`` is "frozen" or "dynamic"."""
+    """Ranked candidate spans of one example as parallel arrays: start and end
+    positions (sequence coordinates), scores and log-probabilities.
 
-    ranked: list[ScoredSpan]
+    ``kind`` is "frozen" or "dynamic". ``enc`` resolves span text, which only
+    ``ranked`` builds, and the token keys that text matching compares.
+    Decoders build a set from arrays they already guarantee; ``from_ranked``
+    builds one from ScoredSpans and checks them.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    scores: np.ndarray
+    log_probs: np.ndarray
     kind: str
+    enc: EncodedExample | None = None
+    _ranked: list[ScoredSpan] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (FROZEN, DYNAMIC):
             raise ValueError(f"unknown prediction-set kind {self.kind!r}")
+
+    @classmethod
+    def from_ranked(
+        cls, ranked: Sequence[ScoredSpan], kind: str, enc: EncodedExample | None = None
+    ) -> "PredictionSet":
+        """A set holding ``ranked``; refuses duplicate positions and, in a
+        dynamic set, increasing scores."""
         seen = set()
-        for s in self.ranked:
+        for s in ranked:
             key = s.span.positions
             if key in seen:
                 raise ValueError(f"duplicate span {key} in prediction set")
             seen.add(key)
-        if self.kind == DYNAMIC:
+        if kind == DYNAMIC:
             # decoder outputs are rank-ordered; a frozen set's last slot may
             # hold an inserted gold whose score floats free of the ranking
-            scores = [s.score for s in self.ranked]
+            scores = [s.score for s in ranked]
             if any(a < b for a, b in zip(scores, scores[1:])):
                 raise ValueError("decoded prediction scores must be non-increasing")
+        out = cls(
+            starts=np.array([s.span.start for s in ranked], dtype=np.int64),
+            ends=np.array([s.span.end for s in ranked], dtype=np.int64),
+            scores=np.array([s.score for s in ranked], dtype=np.float64),
+            log_probs=np.array([s.log_prob for s in ranked], dtype=np.float64),
+            kind=kind,
+            enc=enc,
+        )
+        out._ranked = list(ranked)
+        return out
 
     def __len__(self) -> int:
-        return len(self.ranked)
+        return len(self.starts)
 
-    def spans(self) -> list[Span]:
-        return [s.span for s in self.ranked]
+    @property
+    def ranked(self) -> list[ScoredSpan]:
+        """The set as ScoredSpans, texts resolved from ``enc``; built on first read."""
+        if self._ranked is None:
+            rows = zip(self.starts.tolist(), self.ends.tolist(), self.texts(), self.scores.tolist(),
+                       self.log_probs.tolist())
+            self._ranked = [ScoredSpan(Span(s, e, text), sc, lp) for s, e, text, sc, lp in rows]
+        return self._ranked
+
+    def texts(self) -> list[str]:
+        """The span texts, in rank order."""
+        if self._ranked is not None:
+            return [s.span.text for s in self._ranked]
+        return [span_text(self.enc, s, e) for s, e in zip(self.starts.tolist(), self.ends.tolist())]
+
+    def span_index(self) -> SpanIndex:
+        return SpanIndex(self.starts, self.ends)
 
 
 def _check_decode_args(enc: EncodedExample, k: int, max_answer_len: int) -> tuple[int, int]:
@@ -67,33 +115,83 @@ def _check_decode_args(enc: EncodedExample, k: int, max_answer_len: int) -> tupl
     return p0, p1
 
 
+def candidate_count(passage_len: int, max_answer_len: int) -> int:
+    """Number of legal spans for a given passage length and length cap."""
+    cap = min(max_answer_len, passage_len)
+    return cap * passage_len - cap * (cap - 1) // 2
+
+
+def topk_batch(
+    traces: Sequence[ForwardTrace], encs: Sequence[EncodedExample], k: int, max_answer_len: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The top-k legal spans of every example, ranked by summed logits.
+
+    Legal means start <= end, length <= max_answer_len, both ends inside the
+    example's passage region. Ties break by (start asc, end asc). Returns
+    (starts, ends, scores, counts): row b of the (B, kk) arrays holds
+    example b's counts[b] = min(k, legal spans) ranked spans, then padding;
+    kk is the largest count.
+
+    One banded (B, n, width) score tensor, entry (b, i, w) for the span
+    (i, i + w), flattened per row in (start, end) order, so a stable argsort
+    of the negated scores applies the tie rule.
+    """
+    regions = [_check_decode_args(enc, k, max_answer_len) for enc in encs]
+    lo = min(a for a, _ in regions)  # column j of the band is position lo + j
+    n = max(z for _, z in regions) + 1 - lo
+    width = min(max_answer_len, max(z - a for a, z in regions) + 1)
+    B = len(encs)
+    # Region logits, zero elsewhere: no sum below touches MASK_VALUE.
+    start_logits = np.zeros((B, n))
+    end_logits = np.zeros((B, n + width - 1))
+    for b, (tr, (a, z)) in enumerate(zip(traces, regions)):
+        start_logits[b, a - lo : z - lo + 1] = tr.start_logits[a : z + 1]
+        end_logits[b, a - lo : z - lo + 1] = tr.end_logits[a : z + 1]
+    ends = np.arange(n)[:, None] + np.arange(width)
+    band = start_logits[:, :, None] + end_logits[:, ends]
+    bounds = np.array(regions)[:, :, None, None] - lo
+    band[(ends[:, :1] < bounds[:, 0]) | (ends > bounds[:, 1])] = -np.inf
+    counts = np.array([min(k, candidate_count(z - a + 1, max_answer_len)) for a, z in regions])
+    flat = band.reshape(B, -1)
+    order = np.argsort(-flat, axis=1, kind="stable")[:, : counts.max()]
+    starts = order // width
+    scores = flat[np.arange(B)[:, None], order]
+    return starts + lo, starts + order % width + lo, scores, counts
+
+
 def topk_spans(trace: ForwardTrace, enc: EncodedExample, k: int, max_answer_len: int) -> PredictionSet:
     """Rank every legal (start, end) pair by summed logits and keep the top k.
 
     Legal means start <= end, length <= max_answer_len, both ends inside the
     passage region. Ties break by (start asc, end asc). Returns fewer than k
-    only when fewer candidates exist.
+    only when fewer candidates exist. The one-example case of ``topk_batch``.
     """
-    p0, p1 = _check_decode_args(enc, k, max_answer_len)
-    # each start with the next `width` ends, in (start, end) order: memory
-    # grows with passage length x width, not with the square of the passage
-    width = min(max_answer_len, p1 - p0 + 1)
-    starts = np.repeat(np.arange(p0, p1 + 1), width)
-    ends = starts + np.tile(np.arange(width), p1 - p0 + 1)
-    legal = ends <= p1
-    starts = starts[legal]
-    ends = ends[legal]
-    scores = trace.start_logits[starts] + trace.end_logits[ends]
-    order = np.lexsort((ends, starts, -scores))[:k]
-    ranked = [
-        ScoredSpan(
-            span=Span(int(starts[o]), int(ends[o]), span_text(enc, int(starts[o]), int(ends[o]))),
-            score=float(scores[o]),
-            log_prob=float(trace.start_logprobs[starts[o]] + trace.end_logprobs[ends[o]]),
-        )
-        for o in order
-    ]
-    return PredictionSet(ranked=ranked, kind=DYNAMIC)
+    starts, ends, scores, _ = topk_batch([trace], [enc], k, max_answer_len)
+    starts, ends = starts[0], ends[0]
+    log_probs = trace.start_logprobs[starts] + trace.end_logprobs[ends]
+    return PredictionSet(starts, ends, scores[0], log_probs, DYNAMIC, enc)
+
+
+def text_matches(
+    keys: np.ndarray, starts: np.ndarray, ends: np.ndarray, gold_starts: np.ndarray, gold_ends: np.ndarray
+) -> np.ndarray:
+    """Whether each candidate's normalized text equals its row's gold text.
+
+    ``keys`` is (B, P), row b example b's ``passage_keys`` (padded); the
+    (B, K) candidate and (B,) gold positions are passage-relative. Equal key
+    windows mean equal normalized text (see ``EncodedExample``).
+    """
+    B, P = keys.shape
+    gold_len = gold_ends - gold_starts + 1
+    w = np.arange(int(gold_len.max()))
+    row = np.arange(B)[:, None] * P
+    # A window compared up to the gold's length on an equal-length span stays
+    # inside its row; other entries are masked below, so clipping the flat
+    # index only keeps them in bounds.
+    cand = keys.take(row[:, :, None] + starts[:, :, None] + w, mode="clip")
+    gold = keys.take(row + gold_starts[:, None] + w, mode="clip")
+    agree = (cand == gold[:, None, :]) | (w >= gold_len[:, None, None])
+    return agree.all(axis=2) & (ends - starts + 1 == gold_len[:, None])
 
 
 def brute_force_topk(trace: ForwardTrace, enc: EncodedExample, k: int, max_answer_len: int) -> PredictionSet:
@@ -118,12 +216,7 @@ def brute_force_topk(trace: ForwardTrace, enc: EncodedExample, k: int, max_answe
         )
         for sc, i, j in cands[:k]
     ]
-    return PredictionSet(ranked=ranked, kind=DYNAMIC)
-
-
-def candidate_count(passage_len: int, max_answer_len: int) -> int:
-    """Number of legal spans for a given passage length and length cap."""
-    return sum(min(max_answer_len, passage_len - i) for i in range(passage_len))
+    return PredictionSet.from_ranked(ranked, DYNAMIC, enc)
 
 
 def build_frozen_set(
@@ -135,43 +228,56 @@ def build_frozen_set(
     """Guarantee the gold span a slot in the top-k candidate list.
 
     If the gold already sits in the top k (matched positionally by default, or
-    by normalized text with match="text"), the top k is returned unchanged;
-    otherwise the last slot is replaced by the gold. Returns the frozen set
-    and the gold's 1-based rank among the original predictions (None when it
-    was inserted). Padding short lists is forbidden.
+    by normalized text with match="text", which compares the token keys of
+    ``preds.enc``), the top k is returned unchanged; otherwise the last slot is
+    replaced by the gold. Returns the frozen set and the gold's 1-based rank
+    among the original predictions (None when it was inserted). Padding short
+    lists is forbidden.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if match not in ("position", "text"):
         raise ValueError(f"unknown gold-match mode {match!r}")
-    top = preds.ranked[:k]
-
-    def _is_gold(s: ScoredSpan) -> bool:
-        if match == "position":
-            return s.span.positions == gold.span.positions
-        from .metrics import normalize
-
-        return normalize(s.span.text) == normalize(gold.span.text)
-
-    gold_rank = next((r + 1 for r, s in enumerate(top) if _is_gold(s)), None)
-    if gold_rank is not None:
-        if len(top) < k:
-            raise ValueError(f"only {len(top)} candidates available, cannot fill k={k}")
-        frozen = list(top)
+    starts, ends = preds.starts[:k], preds.ends[:k]
+    g0, g1 = gold.span.positions
+    if match == "position":
+        hits = np.flatnonzero((starts == g0) & (ends == g1))
     else:
-        if len(preds.ranked) < k - 1:
-            raise ValueError(f"only {len(preds.ranked)} candidates available, cannot fill k={k}")
-        frozen = list(preds.ranked[: k - 1]) + [gold]
-    return PredictionSet(ranked=frozen, kind=FROZEN), gold_rank
+        if preds.enc is None:
+            raise ValueError("text matching needs the prediction set's encoded example")
+        p0 = preds.enc.passage_region[0]
+        same = text_matches(
+            preds.enc.passage_keys[None], starts[None] - p0, ends[None] - p0, np.array([g0 - p0]), np.array([g1 - p0])
+        )
+        hits = np.flatnonzero(same[0])
+    gold_rank = int(hits[0]) + 1 if hits.size else None
+    if gold_rank is not None:
+        if len(starts) < k:
+            raise ValueError(f"only {len(starts)} candidates available, cannot fill k={k}")
+        frozen = PredictionSet(starts, ends, preds.scores[:k], preds.log_probs[:k], FROZEN, preds.enc)
+        ranked = None if preds._ranked is None else preds._ranked[:k]
+    else:
+        if len(preds) < k - 1:
+            raise ValueError(f"only {len(preds)} candidates available, cannot fill k={k}")
+        m = k - 1
+        frozen = PredictionSet(
+            np.append(preds.starts[:m], g0),
+            np.append(preds.ends[:m], g1),
+            np.append(preds.scores[:m], gold.score),
+            np.append(preds.log_probs[:m], gold.log_prob),
+            FROZEN,
+            preds.enc,
+        )
+        ranked = None if preds._ranked is None else preds._ranked[:m] + [gold]
+    frozen._ranked = ranked
+    return frozen, gold_rank
 
 
 def store_record(example_id: str, frozen: PredictionSet, gold_rank: int | None) -> dict:
+    rows = zip(frozen.starts.tolist(), frozen.ends.tolist(), frozen.scores.tolist(), frozen.log_probs.tolist())
     return {
         "id": example_id,
-        "spans": [
-            {"start": s.span.start, "end": s.span.end, "score": s.score, "log_prob": s.log_prob}
-            for s in frozen.ranked
-        ],
+        "spans": [{"start": s, "end": e, "score": sc, "log_prob": lp} for s, e, sc, lp in rows],
         "gold_rank": gold_rank,
     }
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import EncodedExample, Example, Span, Vocab, encode, span_text
+from .corpus import EncodedExample, Example, Span, SpanIndex, Vocab, encode, span_text
 from .encoder import (
     EncoderConfig,
     ForwardTrace,
@@ -47,7 +47,7 @@ from .losses import (
     contrastive_loss_grads,
     hard_loss_grads,
 )
-from .mining import mining_rng, select_hard_negatives
+from .mining import mine_batch, mining_rng
 from .metrics import EvalReport, evaluate
 from .numeric import pooling_matrix
 from .spandecode import (
@@ -55,6 +55,7 @@ from .spandecode import (
     ScoredSpan,
     build_frozen_set,
     store_record,
+    topk_batch,
     topk_spans,
     write_candidate_store,
 )
@@ -173,11 +174,6 @@ def adamw_step(
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
-def _accumulate(total: ModelParams, delta: ModelParams) -> None:
-    for name in PARAM_FIELDS:
-        getattr(total, name).__iadd__(getattr(delta, name))
-
-
 def _lr_at(base_lr: float, step: int, warmup_steps: int) -> float:
     if warmup_steps > 0 and step < warmup_steps:
         return base_lr * (step + 1) / warmup_steps
@@ -289,15 +285,13 @@ def _ce_steps(params: ModelParams, config: TrainConfig, loss_key: str, batches: 
         batch_loss = 0.0
         inv_b = 1.0 / len(batch_encs)
         for enc in batch_encs:
+            # Keep the trace bound, across the yield too, until the next
+            # example replaces it: freeing it sooner lets the allocator trim
+            # the heap and fault the pages back in on every example or step.
             trace = forward(params, enc)
             loss, d_slp, d_elp = ce_loss_grads(trace, enc.gold_in_sequence)
             batch_loss += loss * inv_b
-            # Keep the trace and the per-example gradients bound, across the
-            # yield too, until the next example replaces them: freeing them
-            # sooner lets the allocator trim the heap and fault the pages back
-            # in on every example or step.
-            g = backward(params, trace, UpstreamGrads(d_slp * inv_b, d_elp * inv_b))
-            _accumulate(grads, g)
+            backward(params, trace, UpstreamGrads(d_slp * inv_b, d_elp * inv_b), into=grads)
         yield grads, batch_loss, {**tags, loss_key: batch_loss}, []
 
 
@@ -406,12 +400,13 @@ def collect_candidates(
 
 @dataclass
 class BatchItem:
-    """One example's frozen inputs for a single optimization step."""
+    """One example's frozen inputs for a single optimization step. Span
+    lists may be Span objects or a SpanIndex of positions."""
 
     enc: EncodedExample
     gold: Span
-    frozen_spans: list[Span]
-    neg_spans: list[Span]  # empty = skip the contrastive term for this item
+    frozen_spans: list[Span] | SpanIndex
+    neg_spans: list[Span] | SpanIndex  # empty = skip the contrastive term for this item
 
 
 @dataclass
@@ -470,9 +465,14 @@ def _combined_from_traces(
             pools, reprs = [], []
             for i in live:
                 it, tr = items[i], traces[i]
-                starts, ends = span_bounds(it.enc, [it.gold, *it.neg_spans])
+                gold_start, gold_end = span_bounds(it.enc, [it.gold])
+                neg_starts, neg_ends = span_bounds(it.enc, it.neg_spans)
                 q0, q1 = question_bounds(it.enc)
-                pool = pooling_matrix(tr.length, [q0, *starts], [q1, *ends])
+                pool = pooling_matrix(
+                    tr.length,
+                    np.concatenate([[q0], gold_start, neg_starts]),
+                    np.concatenate([[q1], gold_end, neg_ends]),
+                )
                 pooled = pool @ tr.token_reprs
                 pools.append(pool)
                 reprs.append((pooled[0], pooled[1], pooled[2:]))
@@ -493,7 +493,7 @@ def _combined_from_traces(
             up.d_token_reprs = token_grads[i]
         if up.d_start_logprob is None and up.d_token_reprs is None:
             continue
-        _accumulate(total, backward(params, tr, up))
+        backward(params, tr, up, into=total)
     if alpha < 1.0:
         total.u += hard_scale * d_u_total
 
@@ -506,11 +506,18 @@ def _combined_from_traces(
     )
 
 
-def _frozen_spans_from_record(rec: dict, enc: EncodedExample, k: int) -> list[Span]:
+def _frozen_spans_from_record(rec: dict, enc: EncodedExample, k: int) -> SpanIndex:
+    """A candidate-store record's frozen set; refuses a wrong count and a span
+    that is empty or outside the passage region."""
     spans = rec["spans"]
     if len(spans) != k:
         raise ValueError(f"{enc.id}: store has {len(spans)} candidate spans, config expects {k}")
-    return [Span(int(s["start"]), int(s["end"]), span_text(enc, int(s["start"]), int(s["end"]))) for s in spans]
+    index = SpanIndex(
+        np.array([int(s["start"]) for s in spans], dtype=np.int64),
+        np.array([int(s["end"]) for s in spans], dtype=np.int64),
+    )
+    span_bounds(enc, index)
+    return index
 
 
 def finetune(
@@ -552,14 +559,16 @@ def finetune(
     return params, log
 
 
-def _combined_steps(params, config, encs, frozen_map: dict[str, list[Span]], log, batches: Batches) -> Iterator[StepResult]:
+def _combined_steps(
+    params, config, encs, frozen_map: dict[str, SpanIndex], log, batches: Batches
+) -> Iterator[StepResult]:
     """Combined-objective steps: refresh the frozen sets on cadence, mine (or
     reuse) the hard negatives, then the loss and gradients of combined_batch,
     all from one forward per example."""
-    mine_cache: dict[str, tuple[int, list[Span]]] = {}
+    mine_cache: dict[str, tuple[int, SpanIndex]] = {}
     for step, batch_encs in batches:
         if config.z_refresh_every > 0 and step > 0 and step % config.z_refresh_every == 0:
-            frozen_map = {enc.id: _frozen_set(params, config, enc)[0].spans() for enc in encs}
+            frozen_map = {enc.id: _frozen_set(params, config, enc)[0].span_index() for enc in encs}
             log.add(kind="z_refresh", step=step)
 
         items, traces, mined_log = _assemble_batch(params, config, batch_encs, frozen_map, mine_cache, step)
@@ -583,39 +592,52 @@ def _assemble_batch(
     params: ModelParams,
     config: TrainConfig,
     batch_encs: Sequence[EncodedExample],
-    frozen_map: dict[str, list[Span]],
-    mine_cache: dict[str, tuple[int, list[Span]]],
+    frozen_map: dict[str, SpanIndex],
+    mine_cache: dict[str, tuple[int, SpanIndex]],
     step: int,
 ) -> tuple[list[BatchItem], list[ForwardTrace], list[dict]]:
     """The batch's items, one forward trace per item (mining and the loss
-    share it) and the ``mined`` log entries."""
-    items = []
-    traces = []
+    share it) and the ``mined`` log entries.
+
+    The examples whose cached negatives are stale are decoded and mined
+    together, on index arrays; span text is built only for the log."""
+    traces = [forward(params, enc) for enc in batch_encs]
+    negs = [SpanIndex(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))] * len(batch_encs)
     mined_log = []
-    for enc in batch_encs:
-        gold = enc.gold_in_sequence
-        trace = forward(params, enc)
-        negs: list[Span] = []
-        if config.loss.alpha > 0.0:
+    if config.loss.alpha > 0.0:
+        stale = []
+        for b, enc in enumerate(batch_encs):
             cached = mine_cache.get(enc.id)
             if cached is not None and step - cached[0] < config.remine_every:
-                negs = cached[1]
+                negs[b] = cached[1]
             else:
-                dyn = topk_spans(trace, enc, config.loss.k_dynamic, config.max_answer_len)
-                rng = mining_rng(config.seed, enc.id, step) if config.loss.mining.variant == "random" else None
-                negs = select_hard_negatives(trace, dyn, gold, config.loss.mining, rng)
+                stale.append(b)
+        if stale:
+            sub = [traces[b] for b in stale]
+            encs = [batch_encs[b] for b in stale]
+            starts, ends, _, counts = topk_batch(sub, encs, config.loss.k_dynamic, config.max_answer_len)
+            seeded = config.loss.mining.variant == "random"
+            rngs = [mining_rng(config.seed, enc.id, step) if seeded else None for enc in encs]
+            golds = [enc.gold_in_sequence for enc in encs]
+            for b, picked in zip(stale, mine_batch(sub, starts, ends, counts, golds, config.loss.mining, rngs)):
+                negs[b] = picked
                 if config.remine_every > 1:
-                    mine_cache[enc.id] = (step, negs)
-            if config.log_mined:
+                    mine_cache[batch_encs[b].id] = (step, picked)
+        if config.log_mined:
+            for enc, picked in zip(batch_encs, negs):
+                gold = enc.gold_in_sequence
+                neg_pos = zip(picked.starts.tolist(), picked.ends.tolist())
                 mined_log.append(
                     {
                         "id": enc.id,
                         "gold": [gold.start, gold.end, gold.text],
-                        "negatives": [[s.start, s.end, s.text] for s in negs],
+                        "negatives": [[s, e, span_text(enc, s, e)] for s, e in neg_pos],
                     }
                 )
-        items.append(BatchItem(enc=enc, gold=gold, frozen_spans=frozen_map[enc.id], neg_spans=negs))
-        traces.append(trace)
+    items = [
+        BatchItem(enc=enc, gold=enc.gold_in_sequence, frozen_spans=frozen_map[enc.id], neg_spans=picked)
+        for enc, picked in zip(batch_encs, negs)
+    ]
     return items, traces, mined_log
 
 

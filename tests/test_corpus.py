@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanforge.corpus import (
     CorpusError,
@@ -16,6 +18,7 @@ from spanforge.corpus import (
     read_examples_jsonl,
     write_examples_jsonl,
 )
+from spanforge.metrics import normalize
 
 
 def small_spec(**kw):
@@ -144,6 +147,10 @@ def tiny_vocab():
     return Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "a", "b", "c"])
 
 
+# Arbitrary Unicode tokens, mixed case included; encode refuses whitespace.
+_TOKEN = st.text(min_size=1, max_size=4).filter(lambda t: t.split() == [t])
+
+
 class TestEncode:
     def test_direct_layout(self):
         ex = Example(id="e", question=("a",), passage=("b", "c"), gold=Span(1, 1, "c"))
@@ -175,6 +182,31 @@ class TestEncode:
         ex = Example(id="e", question=("zzz",), passage=("b",), gold=Span(0, 0, "b"))
         enc = encode(ex, tiny_vocab(), max_len=6)
         assert enc.token_ids[1] == 1
+
+    @pytest.mark.parametrize("token", ["", "a b", "tab\there", "nb\u00a0sp", "\u2003"])
+    def test_empty_or_whitespace_token_refused(self, token):
+        ex = Example(id="ws7", question=("a",), passage=("b", token, "c"), gold=Span(0, 0, "b"))
+        with pytest.raises(CorpusError, match="ws7"):
+            encode(ex, tiny_vocab(), max_len=10)
+
+    def test_keys_ignore_case_only(self):
+        ex = Example(id="e", question=("a",), passage=("b", "B", "c", "b"), gold=Span(0, 0, "b"))
+        assert encode(ex, tiny_vocab(), max_len=10).passage_keys.tolist() == [0, 0, 1, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.lists(_TOKEN, min_size=1, max_size=3),
+        b=st.lists(_TOKEN, min_size=1, max_size=3),
+        recase=st.booleans(),
+    )
+    def test_key_windows_equal_iff_normalized_text_equal(self, a, b, recase):
+        if recase:  # make the equal case common: the same tokens, case swapped
+            b = [t.swapcase() for t in a]
+        passage = tuple(a + b)
+        ex = Example(id="h", question=("q",), passage=passage, gold=Span(0, len(a) - 1, " ".join(a)))
+        keys = encode(ex, tiny_vocab(), max_len=len(passage) + 4).passage_keys
+        keys_equal = len(a) == len(b) and keys[: len(a)].tolist() == keys[len(a) :].tolist()
+        assert keys_equal == (normalize(" ".join(a)) == normalize(" ".join(b)))
 
     def test_roundtrip_over_generated_corpus(self):
         ds = generate_corpus(small_spec(num_examples=120, num_dev=10, num_test=10))

@@ -144,6 +144,22 @@ class TestBackward:
         for _, arr in g.arrays():
             assert np.all(arr == 0.0)
 
+    def test_into_adds_bitwise_like_separate_gradients(self):
+        # repeated tokens exercise the token_emb scatter
+        params = init_params(tiny_config(), seed=5)
+        rng = np.random.default_rng(5)
+        total = zero_params(tiny_config())
+        buffer = zero_params(tiny_config())
+        for p in [("t1", "t2", "t1", "t1"), ("t3", "t3", "t2", "t4")]:
+            tr = forward(params, encode(tiny_example(p=p), VOCAB, max_len=14))
+            n = tr.length
+            up = UpstreamGrads(rng.normal(size=n), rng.normal(size=n), rng.normal(size=(n, 6)), rng.normal(size=3))
+            for name, arr in backward(params, tr, up).arrays():
+                arr_total = getattr(total, name)
+                arr_total += arr
+            assert backward(params, tr, up, into=buffer) is buffer
+        np.testing.assert_array_equal(flatten_params(buffer), flatten_params(total))
+
     def test_shape_mismatch_rejected(self):
         params = init_params(tiny_config(), seed=0)
         tr = forward(params, tiny_enc())
@@ -309,5 +325,29 @@ class TestCheckpoint:
 
         path = self._rewrite(tmp_path, shrink_vocab)
         with pytest.raises(ValueError, match="field list") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("key", ["fields", "config", "dtype"])
+    def test_missing_header_key_rejected(self, tmp_path, key):
+        path = self._rewrite(tmp_path, lambda header: header.pop(key))
+        with pytest.raises(ValueError, match="header keys") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        def add_dropout(header):
+            header["config"]["dropout"] = 0.1
+
+        path = self._rewrite(tmp_path, add_dropout)
+        with pytest.raises(ValueError, match="unknown keys") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and "dropout" in str(err.value)
+
+    def test_header_not_json_rejected(self, tmp_path):
+        path = self._rewrite(tmp_path)
+        magic, _, blobs = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(magic + b"\n{not json\n" + blobs)
+        with pytest.raises(ValueError, match="not JSON") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)

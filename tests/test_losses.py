@@ -81,6 +81,23 @@ class TestCE:
         assert d_slp[gold.start] == -1.0 and d_elp[gold.end] == -1.0
         assert d_slp.sum() == -1.0 and d_elp.sum() == -1.0
 
+    def test_loss_bitwise_equals_the_gather(self):
+        rng = np.random.default_rng(11)
+        enc = make_enc([f"p{i}" for i in range(9)])
+        for _ in range(50):
+            tr = fake_trace(enc, rng.normal(size=9) * 5, rng.normal(size=9) * 5)
+            i = int(rng.integers(9))
+            gold = region_span(enc, i, min(8, i + int(rng.integers(3))))
+            loss, _, _ = ce_loss_grads(tr, gold)
+            assert loss == -span_log_prob(tr, gold) == hard_loss(tr, [gold], np.zeros(1))
+
+    @pytest.mark.parametrize("where", ["question", "past the passage"])
+    def test_out_of_region_refused(self, enc4, where):
+        p0, p1 = enc4.passage_region
+        span = Span(p0 - 1, p0, "k p0") if where == "question" else Span(p1, p1 + 1, "p3 [SEP]")
+        with pytest.raises(ValueError, match="outside passage region"):
+            ce_loss_grads(uniform_trace(enc4), span)
+
 
 class TestMML:
     def test_closed_form(self, enc4):

@@ -3,9 +3,9 @@ import pytest
 
 from spanforge.corpus import Span
 from spanforge.encoder import EncoderConfig, forward, init_params, span_repr
-from spanforge.mining import MiningStrategy, mining_rng, select_hard_negatives
+from spanforge.mining import MiningStrategy, mine_batch, mining_rng, select_hard_negatives
 from spanforge.numeric import cosine_sim
-from spanforge.spandecode import PredictionSet, ScoredSpan, topk_spans
+from spanforge.spandecode import PredictionSet, ScoredSpan, topk_batch, topk_spans
 from spanforge.corpus import Example, Vocab, encode
 
 
@@ -34,12 +34,12 @@ class TestEligibility:
         trace, enc = real_trace()
         gold = enc.gold_in_sequence
         other = Span(gold.start + 3, gold.start + 3, enc.passage_tokens[3])
-        cands = PredictionSet(
-            ranked=[
+        cands = PredictionSet.from_ranked(
+            [
                 scored(gold.start, gold.end, gold.text, 2.0),
                 scored(other.start, other.end, other.text, 1.0),
             ],
-            kind="dynamic",
+            "dynamic",
         )
         negs = select_hard_negatives(trace, cands, gold, MiningStrategy())
         assert [s.positions for s in negs] == [other.positions]
@@ -51,23 +51,38 @@ class TestEligibility:
         gold = enc.gold_in_sequence
         p0 = enc.passage_region[0]
         copy_pos = p0 + 4
-        cands = PredictionSet(
-            ranked=[
+        cands = PredictionSet.from_ranked(
+            [
                 scored(copy_pos, copy_pos, "v0", 3.0),
                 scored(p0 + 5, p0 + 5, "v2", 2.0),
             ],
-            kind="dynamic",
+            "dynamic",
         )
         negs = select_hard_negatives(trace, cands, gold, MiningStrategy())
         assert [s.text for s in negs] == ["v2"]
+
+    def test_differently_cased_duplicate_excluded(self):
+        trace, enc = real_trace(passage=("f0", "v0", "v1", "f1", "V0", "v2"), gold=(1, 1))
+        gold = enc.gold_in_sequence
+        p0 = enc.passage_region[0]
+        cands = PredictionSet.from_ranked(
+            [scored(p0 + 4, p0 + 4, "V0", 3.0), scored(p0 + 5, p0 + 5, "v2", 2.0)], "dynamic"
+        )
+        assert [s.text for s in select_hard_negatives(trace, cands, gold, MiningStrategy(variant="top1"))] == ["v2"]
+
+    def test_candidate_outside_region_refused(self):
+        trace, enc = real_trace()
+        cands = PredictionSet.from_ranked([scored(0, 0, "[CLS]", 1.0)], "dynamic")
+        with pytest.raises(ValueError, match="outside passage region"):
+            select_hard_negatives(trace, cands, enc.gold_in_sequence, MiningStrategy(variant="top1"))
 
     def test_no_eligible_signals_skip(self):
         trace, enc = real_trace(gold=(1, 1))
         gold = enc.gold_in_sequence
         p0 = enc.passage_region[0]
-        cands = PredictionSet(
-            ranked=[scored(gold.start, gold.end, "v0", 2.0), scored(p0 + 4, p0 + 4, "v0", 1.0)],
-            kind="dynamic",
+        cands = PredictionSet.from_ranked(
+            [scored(gold.start, gold.end, "v0", 2.0), scored(p0 + 4, p0 + 4, "v0", 1.0)],
+            "dynamic",
         )
         assert select_hard_negatives(trace, cands, gold, MiningStrategy()) == []
 
@@ -157,3 +172,24 @@ def test_strategy_validation():
         MiningStrategy(variant="nope")
     with pytest.raises(ValueError):
         MiningStrategy(theta=0)
+
+
+@pytest.mark.parametrize(
+    "strategy", [MiningStrategy(theta=2), MiningStrategy(variant="top1"), MiningStrategy(variant="random")]
+)
+def test_batch_rows_equal_single_examples(strategy):
+    # a ragged batch: passages of different lengths, so candidate counts differ too
+    passages = [("f0", "v0", "v1", "f1", "v0", "v2"), ("v0", "f1"), ("v2", "V2", "f0", "v1", "f1", "v0", "f0")]
+    rows = [real_trace(seed=b, passage=p, gold=(1, 1)) for b, p in enumerate(passages)]
+    traces = [tr for tr, _ in rows]
+    encs = [enc for _, enc in rows]
+    starts, ends, _, counts = topk_batch(traces, encs, 10, 3)
+    golds = [enc.gold_in_sequence for enc in encs]
+
+    def rng(b):
+        return mining_rng(0, f"b{b}", 3) if strategy.variant == "random" else None
+
+    batch = mine_batch(traces, starts, ends, counts, golds, strategy, [rng(b) for b in range(3)])
+    for b, (tr, enc) in enumerate(rows):
+        single = select_hard_negatives(tr, topk_spans(tr, enc, 10, 3), golds[b], strategy, rng(b))
+        assert list(zip(batch[b].starts.tolist(), batch[b].ends.tolist())) == [s.positions for s in single]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spanforge.spandecode import (
     candidate_count,
     read_candidate_store,
     store_record,
+    topk_batch,
     topk_spans,
     write_candidate_store,
 )
@@ -90,6 +92,40 @@ class TestOracleEquivalence:
                 (s.span.positions, s.score, s.log_prob) for s in b.ranked
             ]
 
+    def test_batch_rows_equal_single_examples(self):
+        # ragged rows (passage and question lengths differ); integer logits force ties
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            encs = [
+                make_enc(
+                    [f"p{i}" for i in range(int(rng.integers(1, 13)))],
+                    question_tokens=[f"q{i}" for i in range(int(rng.integers(0, 4)))],
+                    ex_id=f"b{b}",
+                )
+                for b in range(int(rng.integers(1, 6)))
+            ]
+            traces = [fake_trace(enc, *rng.integers(-2, 3, size=(2, len(enc.passage_tokens)))) for enc in encs]
+            k = int(rng.integers(1, 40))
+            cap = int(rng.integers(1, 9))
+            starts, ends, scores, counts = topk_batch(traces, encs, k, cap)
+            for b, (tr, enc) in enumerate(zip(traces, encs)):
+                brute = brute_force_topk(tr, enc, k, cap).ranked
+                m = int(counts[b])
+                assert list(zip(starts[b, :m].tolist(), ends[b, :m].tolist(), scores[b, :m].tolist())) == [
+                    (*s.span.positions, s.score) for s in brute
+                ]
+
+    def test_decoding_does_not_warn(self):
+        # the passage is flanked by MASK_VALUE logits; a warning is an error here
+        rng = np.random.default_rng(4)
+        encs = [make_enc([f"p{i}" for i in range(n)], ex_id=f"w{n}") for n in (1, 5, 12)]
+        traces = [fake_trace(enc, *rng.normal(size=(2, len(enc.passage_tokens))) * 1e3) for enc in encs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            topk_batch(traces, encs, 50, 8)
+            for tr, enc in zip(traces, encs):
+                topk_spans(tr, enc, 50, 8).ranked
+
     def test_monotone_scores(self):
         rng = np.random.default_rng(1)
         enc = make_enc([f"p{i}" for i in range(10)])
@@ -113,7 +149,7 @@ def _scored(start, end, score):
 
 def _preds(n, base=10.0):
     # distinct single-token spans at positions 0..n-1 with decreasing scores
-    return PredictionSet(ranked=[_scored(i, i, base - i) for i in range(n)], kind="dynamic")
+    return PredictionSet.from_ranked([_scored(i, i, base - i) for i in range(n)], "dynamic")
 
 
 class TestBuildFrozen:
@@ -148,23 +184,30 @@ class TestBuildFrozen:
             build_frozen_set(preds, gold, k=5)
 
     def test_text_match_mode(self):
-        ranked = [_scored(0, 0, 5.0), ScoredSpan(span=Span(3, 3, "dup"), score=4.0, log_prob=-1.0)]
-        preds = PredictionSet(ranked=ranked, kind="dynamic")
-        gold = ScoredSpan(span=Span(7, 7, "dup"), score=1.0, log_prob=-2.0)
+        # the gold's text recurs, differently cased, at passage slot 1
+        enc = make_enc(["a", "dup", "b", "Dup"])
+        p0 = enc.passage_region[0]
+        ranked = [_scored(p0, p0, 5.0), ScoredSpan(span=Span(p0 + 1, p0 + 1, "dup"), score=4.0, log_prob=-1.0)]
+        preds = PredictionSet.from_ranked(ranked, "dynamic", enc)
+        gold = ScoredSpan(span=Span(p0 + 3, p0 + 3, "Dup"), score=1.0, log_prob=-2.0)
         frozen_pos, rank_pos = build_frozen_set(preds, gold, k=2, match="position")
         assert rank_pos is None and frozen_pos.ranked[1] is gold
         frozen_txt, rank_txt = build_frozen_set(preds, gold, k=2, match="text")
         assert rank_txt == 2 and frozen_txt.ranked == ranked
 
+    def test_text_match_needs_the_passage(self):
+        with pytest.raises(ValueError, match="encoded example"):
+            build_frozen_set(_preds(3), _scored(1, 1, 9.0), k=2, match="text")
+
 
 class TestPredictionSetInvariants:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError):
-            PredictionSet(ranked=[_scored(0, 0, 2.0), _scored(0, 0, 1.0)], kind="dynamic")
+            PredictionSet.from_ranked([_scored(0, 0, 2.0), _scored(0, 0, 1.0)], "dynamic")
 
     def test_increasing_scores_rejected(self):
         with pytest.raises(ValueError):
-            PredictionSet(ranked=[_scored(0, 0, 1.0), _scored(1, 1, 2.0)], kind="dynamic")
+            PredictionSet.from_ranked([_scored(0, 0, 1.0), _scored(1, 1, 2.0)], "dynamic")
 
 
 class TestStore:

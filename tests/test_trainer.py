@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -484,6 +486,34 @@ class TestTrainingLoop:
         b = _combined_from_traces(params, items, traces, cfg)
         assert (a.combined, a.hard, a.contrast, a.contrastive_items) == (b.combined, b.hard, b.contrast, b.contrastive_items)
         np.testing.assert_array_equal(flatten_params(a.grads), flatten_params(b.grads))
+
+
+    def test_combined_step_does_not_warn(self):
+        from spanforge.trainer import _assemble_batch, _combined_from_traces, _frozen_spans_from_record
+
+        ds = tiny_corpus()
+        cfg = tiny_config(ds, loss=dict(alpha=0.5, k_frozen=4, k_dynamic=8))
+        params = init_params(cfg.encoder, seed=3)
+        encs, _ = _encode_usable(cfg, ds.train[:8], ds.vocab)
+        store = {r["id"]: r for r in collect_candidates(params, cfg, ds.train[:8], ds.vocab)[0]}
+        frozen = {enc.id: _frozen_spans_from_record(store[enc.id], enc, cfg.loss.k_frozen) for enc in encs}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            items, traces, _ = _assemble_batch(params, cfg, encs, frozen, {}, 0)
+            assert any(it.neg_spans for it in items)
+            _combined_from_traces(params, items, traces, cfg)
+
+    def test_store_span_outside_region_refused(self):
+        from spanforge.trainer import _frozen_spans_from_record
+
+        ds = tiny_corpus()
+        cfg = tiny_config(ds)
+        params = init_params(cfg.encoder, seed=3)
+        enc = _encode_usable(cfg, ds.train[:1], ds.vocab)[0][0]
+        rec = collect_candidates(params, cfg, ds.train[:1], ds.vocab)[0][0]
+        rec["spans"][1]["start"] = 0
+        with pytest.raises(ValueError, match="outside passage region"):
+            _frozen_spans_from_record(rec, enc, cfg.loss.k_frozen)
 
 
 class TestProbe:
