@@ -96,18 +96,19 @@ CORPUS_KEYS = {
 }
 
 
+def _take(typed: dict, *keys: str) -> dict:
+    """Remove and return the entries of ``typed`` under ``keys`` that were given."""
+    return {key: typed.pop(key) for key in keys if key in typed}
+
+
 def corpus_spec_from_kv(kv: dict[str, str]) -> CorpusSpec:
     unknown = set(kv) - set(CORPUS_KEYS)
     if unknown:
         raise ValueError(f"unknown corpus keys: {sorted(unknown)}")
     typed = {k: CORPUS_KEYS[k](v) for k, v in kv.items()}
-    policy = DistractorPolicy(
-        prefix_overlap_count=typed.pop("prefix_overlap_count", 2),
-        suffix_overlap_count=typed.pop("suffix_overlap_count", 2),
-        full_decoys=typed.pop("full_decoys", 2),
-    )
-    lo = typed.pop("answer_len_min", 1)
-    hi = typed.pop("answer_len_max", 4)
+    policy = DistractorPolicy(**_take(typed, "prefix_overlap_count", "suffix_overlap_count", "full_decoys"))
+    lo, hi = CorpusSpec.answer_len_range
+    lo, hi = typed.pop("answer_len_min", lo), typed.pop("answer_len_max", hi)
     return CorpusSpec(answer_len_range=(lo, hi), distractors=policy, **typed)
 
 
@@ -151,25 +152,14 @@ def train_config_from_kv(kv: dict[str, str], vocab_size: int) -> tuple[TrainConf
         raise ValueError(f"unknown train keys: {sorted(unknown)}")
     typed = {k: TRAIN_KEYS[k](v) for k, v in kv.items()}
     extras = {"z_store": typed.pop("z_store", "")}
-    k_frozen = typed.pop("k_frozen", 20)
-    encoder = EncoderConfig(
-        vocab_size=vocab_size,
-        d_model=typed.pop("d_model", 32),
-        d_ff=typed.pop("d_ff", 64),
-        max_len=typed.pop("max_len", 64),
-        num_hard_weights=k_frozen,
-    )
+    strategy = _take(typed, "mining_variant", "mining_theta")
     loss = LossConfig(
-        tau=typed.pop("tau", 10.0),
-        alpha=typed.pop("alpha", 0.5),
-        k_frozen=k_frozen,
-        k_dynamic=typed.pop("k_dynamic", 50),
-        mining=MiningStrategy(
-            variant=typed.pop("mining_variant", "most_similar"),
-            theta=typed.pop("mining_theta", 1),
-        ),
+        mining=MiningStrategy(**{key.removeprefix("mining_"): val for key, val in strategy.items()}),
+        **_take(typed, "tau", "alpha", "k_frozen", "k_dynamic"),
     )
-    betas = (typed.pop("beta1", 0.9), typed.pop("beta2", 0.999))
+    encoder = EncoderConfig(vocab_size, num_hard_weights=loss.k_frozen, **_take(typed, "d_model", "d_ff", "max_len"))
+    b1, b2 = TrainConfig.betas
+    betas = (typed.pop("beta1", b1), typed.pop("beta2", b2))
     return TrainConfig(encoder=encoder, loss=loss, betas=betas, **typed), extras
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import EncodedExample, Span, SpanIndex
-from .numeric import MASK_VALUE, Mat64, Vec64, masked_log_softmax, pooling_matrix, softmax
+from .numeric import MASK_VALUE, Mat64, Vec64, masked_softmax, pooling_matrix, row_softmax
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,6 @@ class ForwardTrace:
         return self.token_reprs.shape[0]
 
 
-def _row_softmax(scores: Mat64) -> Mat64:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def forward(params: ModelParams, enc: EncodedExample) -> ForwardTrace:
     """Run the encoder over one example and cache everything backward needs."""
     mask = enc.attention_mask
@@ -158,7 +152,7 @@ def forward(params: ModelParams, enc: EncodedExample) -> ForwardTrace:
     qm = h0 @ params.wq
     km = h0 @ params.wk
     vm = h0 @ params.wv
-    attn = _row_softmax((qm @ km.T) / np.sqrt(d))
+    attn = row_softmax((qm @ km.T) / np.sqrt(d))
     h1 = h0 + attn @ vm
     ffn_pre = h1 @ params.w1
     ffn_act = np.maximum(ffn_pre, 0.0)
@@ -172,6 +166,8 @@ def forward(params: ModelParams, enc: EncodedExample) -> ForwardTrace:
     region[p0 : p1 + 1] = True
     start_logits[~region] = MASK_VALUE
     end_logits[~region] = MASK_VALUE
+    start_probs, start_logprobs = masked_softmax(start_logits)
+    end_probs, end_logprobs = masked_softmax(end_logits)
 
     return ForwardTrace(
         enc=enc,
@@ -187,10 +183,10 @@ def forward(params: ModelParams, enc: EncodedExample) -> ForwardTrace:
         token_reprs=h2,
         start_logits=start_logits,
         end_logits=end_logits,
-        start_probs=softmax(start_logits),
-        end_probs=softmax(end_logits),
-        start_logprobs=masked_log_softmax(start_logits),
-        end_logprobs=masked_log_softmax(end_logits),
+        start_probs=start_probs,
+        end_probs=end_probs,
+        start_logprobs=start_logprobs,
+        end_logprobs=end_logprobs,
     )
 
 

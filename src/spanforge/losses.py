@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import Span, SpanIndex
 from .encoder import ForwardTrace, span_bounds
 from .mining import MiningStrategy
-from .numeric import Vec64
+from .numeric import Vec64, logsumexp, row_softmax, unit_rows
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,7 @@ def mml_loss_grads(trace: ForwardTrace, spans: Spans) -> tuple[float, Vec64, Vec
     if not spans:
         raise ValueError("marginal likelihood over an empty candidate set")
     starts, ends, lps = _gather(trace, spans)
-    m = lps.max()
-    lse = m + np.log(np.exp(lps - m).sum())
+    lse = logsumexp(lps)
     posterior = np.exp(lps - lse)
     n = trace.length
     d_slp = np.zeros(n)
@@ -88,13 +87,7 @@ def mml_loss_grads(trace: ForwardTrace, spans: Spans) -> tuple[float, Vec64, Vec
     # subtract.at accumulates repeated positions, in list order
     np.subtract.at(d_slp, starts, posterior)
     np.subtract.at(d_elp, ends, posterior)
-    return float(-lse), d_slp, d_elp
-
-
-def _rank_weights(u: Vec64) -> Vec64:
-    u = np.asarray(u, dtype=np.float64)
-    e = np.exp(u - u.max())
-    return e / e.sum()
+    return float(-lse[0]), d_slp, d_elp
 
 
 def hard_loss(trace: ForwardTrace, spans: Spans, u: Vec64) -> float:
@@ -107,7 +100,7 @@ def hard_loss_grads(trace: ForwardTrace, spans: Spans, u: Vec64) -> tuple[float,
     u = np.asarray(u, dtype=np.float64)
     if len(spans) != u.shape[0]:
         raise ValueError(f"candidate count {len(spans)} != weight count {u.shape[0]}")
-    w = _rank_weights(u)
+    w = row_softmax(u)
     starts, ends, lps = _gather(trace, spans)
     ell = -lps
     loss = float((w * ell).sum())
@@ -164,19 +157,14 @@ def contrastive_loss_grads(
         [np.asarray(rg, dtype=np.float64) for _, rg, _ in batch]
         + [np.asarray(rh, dtype=np.float64) for hards in hard_lists for rh in hards]
     )
-    q_norm = np.linalg.norm(q, axis=1, keepdims=True)
-    k_norm = np.linalg.norm(keys, axis=1, keepdims=True)
-    if np.any(q_norm == 0.0) or np.any(k_norm == 0.0):
-        raise ValueError("zero-norm representation in contrastive loss")
-    qn = q / q_norm
-    kn = keys / k_norm
+    qn, q_norm = unit_rows(q)
+    kn, k_norm = unit_rows(keys)
 
     rows = np.arange(B)
     owner = np.repeat(rows, counts)
     logits = (qn @ kn.T) / tau
     logits[:, B:][owner[None, :] != rows[:, None]] = -np.inf
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    lse = logsumexp(logits)
     loss = float(np.mean(lse[:, 0] - logits[rows, rows]))
 
     # d(loss)/d(logit) = (softmax - onehot(positive)) / B; masked entries are 0

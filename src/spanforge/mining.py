@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Span, SpanIndex, span_text
 from .encoder import ForwardTrace
-from .numeric import pooling_matrix
+from .numeric import pooling_matrix, unit_rows
 from .spandecode import PredictionSet, text_matches
 
 MOST_SIMILAR = "most_similar"
@@ -110,11 +110,7 @@ def _pick(strategy, eligible, trace, starts, ends, gold, rng) -> np.ndarray:
     rows = pooling_matrix(
         trace.length, np.append(gold.start, starts[eligible]), np.append(gold.end, ends[eligible])
     )
-    pooled = rows @ trace.token_reprs
-    norms = np.linalg.norm(pooled, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("cosine similarity undefined for zero-norm input")
-    unit = pooled / norms[:, None]
+    unit, _ = unit_rows(rows @ trace.token_reprs)
     sims = np.clip(unit[1:] @ unit[0], -1.0, 1.0)
     return eligible[np.argsort(-sims, kind="stable")[: strategy.theta]]
 

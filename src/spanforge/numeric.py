@@ -1,9 +1,11 @@
 """Dense float64 math substrate.
 
 Plain numpy arrays throughout; ``Vec64``/``Mat64`` are aliases, shapes are the
-caller's contract. ``finite_diff_grad`` is the independent gradient estimator
-the test suite uses to verify every analytic backward pass, so it must never
-share code with the paths it checks.
+caller's contract. Every softmax, log-sum-exp and row normalisation in the
+package goes through the helpers here. ``finite_diff_grad`` is the
+independent gradient estimator the test suite uses to verify every analytic
+backward pass, and ``cosine_sim`` the independent reference for mining, so
+neither may share code with the paths they check.
 """
 
 from __future__ import annotations
@@ -21,37 +23,57 @@ Mat64 = np.ndarray
 MASK_VALUE = float(np.finfo(np.float64).min)
 
 
-def softmax(v: Vec64) -> Vec64:
-    """Shift-stable softmax; entries equal to ``MASK_VALUE`` map to exactly 0."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("softmax expects a non-empty 1-d vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("softmax input must be finite (MASK_VALUE is the only sentinel)")
-    live = v != MASK_VALUE
-    if not live.any():
-        raise ValueError("softmax over an all-masked vector is degenerate")
-    out = np.zeros_like(v)
-    e = np.exp(v[live] - v[live].max())
-    out[live] = e / e.sum()
-    return out
+def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max m, exp(x - m) and that exponential's sum over the last axis (keepdims)."""
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return m, e, e.sum(axis=-1, keepdims=True)
 
 
-def masked_log_softmax(v: Vec64) -> Vec64:
-    """Log-softmax over the unmasked entries; masked entries become -inf."""
+def row_softmax(x: np.ndarray) -> np.ndarray:
+    """Shift-stable softmax over the last axis, without masking or validation."""
+    _, e, s = _shifted_exp(x)
+    return e / s
+
+
+def logsumexp(x: np.ndarray) -> np.ndarray:
+    """Shift-stable log-sum-exp over the last axis, keeping that axis."""
+    m, _, s = _shifted_exp(x)
+    return m + np.log(s)
+
+
+def masked_softmax(v: Vec64) -> tuple[Vec64, Vec64]:
+    """Probabilities and log-probabilities of one vector from one exp pass.
+
+    Entries equal to ``MASK_VALUE`` map to probability exactly 0 and
+    log-probability -inf. Refuses a vector that is not 1-d, is empty, holds a
+    non-finite entry or is masked everywhere.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
-        raise ValueError("masked_log_softmax expects a non-empty 1-d vector")
+        raise ValueError("masked_softmax expects a non-empty 1-d vector")
     if not np.all(np.isfinite(v)):
-        raise ValueError("masked_log_softmax input must be finite")
+        raise ValueError("masked_softmax input must be finite (MASK_VALUE is the only sentinel)")
     live = v != MASK_VALUE
     if not live.any():
-        raise ValueError("masked_log_softmax over an all-masked vector is degenerate")
-    out = np.full(v.shape, -np.inf)
+        raise ValueError("masked_softmax over an all-masked vector is degenerate")
     x = v[live]
-    m = x.max()
-    out[live] = x - (m + np.log(np.exp(x - m).sum()))
-    return out
+    m, e, s = _shifted_exp(x)
+    probs = np.zeros_like(v)
+    probs[live] = e / s
+    logprobs = np.full(v.shape, -np.inf)
+    logprobs[live] = x - (m + np.log(s))
+    return probs, logprobs
+
+
+def unit_rows(x: Mat64) -> tuple[Mat64, Mat64]:
+    """Each row of a 2-d array divided by its Euclidean norm, and the (n, 1)
+    norms; refuses a zero-norm row."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"row {int(zero[0])} is zero-norm, so it has no direction")
+    return x / norms, norms
 
 
 def cosine_sim(u: Vec64, v: Vec64) -> float:

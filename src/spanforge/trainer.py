@@ -99,6 +99,11 @@ class TrainConfig:
             raise ValueError("warmup must lie in [0, 1]")
         if self.remine_every < 1:
             raise ValueError("remine_every must be >= 1")
+        for name in ("checkpoint_every", "eval_every", "z_refresh_every", "probe_count"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.probe_top_n < 1:
+            raise ValueError("probe_top_n must be >= 1")
 
 
 class RunLog:
@@ -152,16 +157,18 @@ def adamw_step(
     """One decoupled-weight-decay Adam update, in place.
 
     Decay multiplies the parameter by (1 - lr * wd) before the adaptive term
-    is subtracted; bias-like fields (head_b, u) are never decayed.
+    is subtracted; bias-like fields (head_b, u) are never decayed. A
+    non-finite gradient in any field is refused before any state changes.
     """
+    for name in PARAM_FIELDS:
+        if not np.all(np.isfinite(getattr(grads, name))):
+            raise RuntimeError(f"non-finite gradient in {name}")
     b1, b2 = betas
     state.t += 1
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name in PARAM_FIELDS:
         g = getattr(grads, name)
-        if not np.all(np.isfinite(g)):
-            raise RuntimeError(f"non-finite gradient in {name}")
         m = getattr(state.m, name)
         v = getattr(state.v, name)
         m *= b1
@@ -368,20 +375,14 @@ def collect_candidates(
     slot, plus the gold's original rank (None when it had to be inserted).
     """
     k = config.loss.k_frozen
+    encs, skipped = _encode_usable(config, examples, vocab)
     records = []
     rank_hist: dict[str, int] = {}
-    skipped = 0
-    for ex in examples:
-        enc = encode(ex, vocab, config.encoder.max_len, config.question_max_len)
-        if not enc.usable:
-            skipped += 1
-            continue
+    for enc in encs:
         frozen, gold_rank = _frozen_set(params, config, enc)
-        records.append(store_record(ex.id, frozen, gold_rank))
+        records.append(store_record(enc.id, frozen, gold_rank))
         rank_hist[str(gold_rank)] = rank_hist.get(str(gold_rank), 0) + 1
     n = len(records)
-    if n == 0:
-        raise ValueError("no usable examples to collect candidates for")
     ranked = [r["gold_rank"] for r in records if r["gold_rank"] is not None]
     summary = {
         "count": n,
@@ -582,7 +583,7 @@ def _combined_steps(
             contrast=res.contrast,
             combined=res.combined,
             contrastive_items=res.contrastive_items,
-            contrastive_skipped=len(items) - res.contrastive_items if config.loss.alpha > 0 else len(items),
+            contrastive_skipped=len(items) - res.contrastive_items,
         )
         follow = [("mined", {"selections": mined_log})] if config.log_mined and config.loss.alpha > 0 else []
         yield res.grads, res.combined, fields, follow

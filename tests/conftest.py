@@ -5,7 +5,7 @@ import pytest
 
 from spanforge.corpus import EncodedExample, Span
 from spanforge.encoder import ForwardTrace
-from spanforge.numeric import MASK_VALUE, masked_log_softmax, softmax
+from spanforge.numeric import MASK_VALUE, masked_softmax
 
 
 def make_enc(passage_tokens, question_tokens=("what", "k"), ex_id="fx", max_len=None):
@@ -40,6 +40,8 @@ def fake_trace(enc, start_region_logits, end_region_logits, d_model=4):
     sl[p0 : p1 + 1] = np.asarray(start_region_logits, dtype=np.float64)
     el[p0 : p1 + 1] = np.asarray(end_region_logits, dtype=np.float64)
     zeros = np.zeros((n, d_model))
+    start_probs, start_logprobs = masked_softmax(sl)
+    end_probs, end_logprobs = masked_softmax(el)
     return ForwardTrace(
         enc=enc,
         ids=enc.token_ids[:n],
@@ -54,10 +56,10 @@ def fake_trace(enc, start_region_logits, end_region_logits, d_model=4):
         token_reprs=zeros,
         start_logits=sl,
         end_logits=el,
-        start_probs=softmax(sl),
-        end_probs=softmax(el),
-        start_logprobs=masked_log_softmax(sl),
-        end_logprobs=masked_log_softmax(el),
+        start_probs=start_probs,
+        end_probs=end_probs,
+        start_logprobs=start_logprobs,
+        end_logprobs=end_logprobs,
     )
 
 

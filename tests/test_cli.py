@@ -12,7 +12,11 @@ from spanforge.cli import (
     run,
     train_config_from_kv,
 )
+from spanforge.corpus import CorpusSpec, DistractorPolicy
+from spanforge.encoder import EncoderConfig
 from spanforge.metrics import EvalReport
+from spanforge.mining import MiningStrategy
+from spanforge.trainer import TrainConfig
 
 
 CORPUS_CFG = """
@@ -266,6 +270,20 @@ class TestConfigParsing:
         assert cfg.loss.k_frozen == 7 and cfg.encoder.num_hard_weights == 7
         assert cfg.loss.mining.variant == "top1"
         assert extras["z_store"] == "/x.jsonl"
+
+    def test_empty_kv_gives_dataclass_defaults(self):
+        assert corpus_spec_from_kv({}) == CorpusSpec()
+        cfg, extras = train_config_from_kv({}, vocab_size=99)
+        assert cfg == TrainConfig(encoder=EncoderConfig(vocab_size=99))
+        assert extras == {"z_store": ""}
+
+    def test_partial_kv_keeps_other_defaults(self):
+        spec = corpus_spec_from_kv({"answer_len_max": "3", "full_decoys": "1"})
+        assert spec.answer_len_range == (CorpusSpec().answer_len_range[0], 3)
+        assert spec.distractors == DistractorPolicy(full_decoys=1)
+        cfg, _ = train_config_from_kv({"beta2": "0.9", "mining_theta": "2"}, vocab_size=99)
+        assert cfg.betas == (TrainConfig.betas[0], 0.9)
+        assert cfg.loss.mining == MiningStrategy(theta=2)
 
     def test_sweep_spec_defaults(self):
         assert DEFAULT_AXIS_VALUES["tau"] == ["1", "2", "4", "8", "10", "12", "20"]

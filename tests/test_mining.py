@@ -129,6 +129,14 @@ class TestMostSimilar:
         scaled = select_hard_negatives(trace, dyn, gold, MiningStrategy())
         assert [s.positions for s in base] == [s.positions for s in scaled]
 
+    def test_zero_norm_pooled_gold_refused(self):
+        trace, enc = real_trace(seed=2)
+        gold = enc.gold_in_sequence
+        dyn = topk_spans(trace, enc, k=10, max_answer_len=3)
+        trace.token_reprs[gold.start : gold.end + 1] = 0.0
+        with pytest.raises(ValueError, match="zero-norm"):
+            select_hard_negatives(trace, dyn, gold, MiningStrategy())
+
     def test_theta_returns_that_many(self):
         trace, enc = real_trace(seed=6)
         gold = enc.gold_in_sequence

@@ -5,60 +5,199 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypothesis.extra.numpy import array_shapes, arrays
+
 from spanforge.numeric import (
     MASK_VALUE,
     cosine_sim,
     finite_diff_grad,
-    masked_log_softmax,
+    logsumexp,
+    masked_softmax,
     max_rel_error,
     pooling_matrix,
-    softmax,
+    row_softmax,
+    unit_rows,
 )
 
 
+def probs(v):
+    return masked_softmax(v)[0]
+
+
+def logprobs(v):
+    return masked_softmax(v)[1]
+
+
 class TestSoftmax:
+    """The probabilities that masked_softmax returns."""
+
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(probs(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-15)
 
     def test_exp_ratios(self):
-        out = softmax(np.array([math.log(1.0), math.log(3.0)]))
+        out = probs(np.array([math.log(1.0), math.log(3.0)]))
         np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-12)
 
     def test_shift_stability_and_mask(self):
-        out = softmax(np.array([1000.0, 1000.0, MASK_VALUE]))
+        out = probs(np.array([1000.0, 1000.0, MASK_VALUE]))
         np.testing.assert_allclose(out, [0.5, 0.5, 0.0], atol=1e-15)
         assert out[2] == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            softmax(np.array([]))
+            masked_softmax(np.array([]))
+        with pytest.raises(ValueError):
+            masked_softmax(np.zeros((2, 2)))
 
     def test_all_masked_rejected(self):
         with pytest.raises(ValueError):
-            softmax(np.array([MASK_VALUE, MASK_VALUE]))
+            masked_softmax(np.array([MASK_VALUE, MASK_VALUE]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            softmax(np.array([0.0, np.inf]))
+            masked_softmax(np.array([0.0, np.inf]))
+        with pytest.raises(ValueError):
+            masked_softmax(np.array([0.0, np.nan]))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_sums_to_one_and_shift_invariant(self, vals):
         v = np.array(vals)
-        out = softmax(v)
+        out = probs(v)
         assert abs(out.sum() - 1.0) <= 1e-12
-        shifted = softmax(v + 3.7)
+        shifted = probs(v + 3.7)
         assert np.max(np.abs(out - shifted)) <= 1e-12
 
 
 class TestMaskedLogSoftmax:
+    """The log-probabilities that masked_softmax returns."""
+
     def test_matches_log_of_softmax(self):
         v = np.array([0.3, -1.2, MASK_VALUE, 2.0])
-        lp = masked_log_softmax(v)
-        p = softmax(v)
+        p, lp = masked_softmax(v)
         live = v != MASK_VALUE
         np.testing.assert_allclose(np.exp(lp[live]), p[live], atol=1e-12)
         assert lp[2] == -np.inf
+
+
+# The formulas each helper replaced, kept verbatim as references: every
+# helper must give their outputs bit for bit.
+
+
+def reference_softmax(v):
+    v = np.asarray(v, dtype=np.float64)
+    live = v != MASK_VALUE
+    out = np.zeros_like(v)
+    e = np.exp(v[live] - v[live].max())
+    out[live] = e / e.sum()
+    return out
+
+
+def reference_masked_log_softmax(v):
+    v = np.asarray(v, dtype=np.float64)
+    live = v != MASK_VALUE
+    out = np.full(v.shape, -np.inf)
+    x = v[live]
+    m = x.max()
+    out[live] = x - (m + np.log(np.exp(x - m).sum()))
+    return out
+
+
+def reference_attention_softmax(scores):
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_rank_weights(u):
+    e = np.exp(u - u.max())
+    return e / e.sum()
+
+
+def reference_mml_logsumexp(lps):
+    m = lps.max()
+    return m + np.log(np.exp(lps - m).sum())
+
+
+def reference_infonce_logsumexp(logits):
+    m = logits.max(axis=1, keepdims=True)
+    return m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+
+
+def reference_mining_unit(pooled):
+    norms = np.linalg.norm(pooled, axis=1)
+    return pooled / norms[:, None]
+
+
+def reference_infonce_unit(x):
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / norms, norms
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# Magnitudes up to 1e5 overflow an unshifted exp; the sentinel marks masked entries.
+LARGE = st.floats(-1e5, 1e5)
+HEAD = st.lists(st.one_of(LARGE, st.floats(-3, 3), st.just(MASK_VALUE)), min_size=1, max_size=40).filter(
+    lambda vals: any(x != MASK_VALUE for x in vals)
+)
+MATRIX = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9), elements=LARGE)
+
+
+class TestAgainstReplacedFormulas:
+    @given(HEAD)
+    @settings(max_examples=200, deadline=None)
+    def test_masked_softmax(self, vals):
+        v = np.array(vals)
+        p, lp = masked_softmax(v)
+        assert_bitwise(p, reference_softmax(v))
+        assert_bitwise(lp, reference_masked_log_softmax(v))
+
+    @given(MATRIX)
+    @settings(max_examples=100, deadline=None)
+    def test_row_softmax_attention(self, x):
+        assert_bitwise(row_softmax(x), reference_attention_softmax(x))
+
+    @given(st.lists(LARGE, min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_row_softmax_rank_weights(self, vals):
+        u = np.array(vals)
+        assert_bitwise(row_softmax(u), reference_rank_weights(u))
+
+    @given(st.lists(LARGE, min_size=1, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_logsumexp_vector(self, vals):
+        lps = np.array(vals)
+        got = logsumexp(lps)
+        assert got.shape == (1,)
+        assert_bitwise(got[0], reference_mml_logsumexp(lps))
+
+    @given(MATRIX, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_logsumexp_rows_with_masked_entries(self, x, data):
+        # InfoNCE masks other items' negatives with -inf; column 0 stays live
+        masked = data.draw(arrays(bool, x.shape))
+        masked[:, 0] = False
+        x = np.where(masked, -np.inf, x)
+        assert_bitwise(logsumexp(x), reference_infonce_logsumexp(x))
+
+    @given(MATRIX.filter(lambda x: np.all(np.linalg.norm(x, axis=1) > 0.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_unit_rows(self, x):
+        unit, norms = unit_rows(x)
+        assert_bitwise(unit, reference_mining_unit(x))
+        ref_unit, ref_norms = reference_infonce_unit(x)
+        assert_bitwise(unit, ref_unit)
+        assert_bitwise(norms, ref_norms)
+
+
+def test_unit_rows_refuses_zero_norm_row():
+    with pytest.raises(ValueError, match="zero-norm"):
+        unit_rows(np.array([[1.0, 2.0], [0.0, 0.0]]))
 
 
 class TestCosine:

@@ -111,6 +111,42 @@ class TestAdamW:
         with pytest.raises(RuntimeError):
             adamw_step(params, grads, init_adam_state(cfg), lr=0.01)
 
+    def test_non_finite_grad_changes_no_state(self):
+        # the NaN sits in the last field, after every other field's update
+        cfg, params = self._single()
+        grads = zero_params(cfg)
+        grads.token_emb[:] = 1.0
+        grads.u[:] = np.nan
+        state = init_adam_state(cfg)
+        before = [flatten_params(x).copy() for x in (params, state.m, state.v)]
+        with pytest.raises(RuntimeError, match="non-finite gradient in u"):
+            adamw_step(params, grads, state, lr=0.01, weight_decay=0.1)
+        assert state.t == 0
+        for got, want in zip((params, state.m, state.v), before):
+            np.testing.assert_array_equal(flatten_params(got), want)
+
+
+class TestTrainConfigRefusals:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("probe_top_n", 0),
+            ("probe_count", -1),
+            ("checkpoint_every", -1),
+            ("eval_every", -1),
+            ("z_refresh_every", -1),
+        ],
+    )
+    def test_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(encoder=EncoderConfig(vocab_size=10), **{field: value})
+
+    def test_zero_cadences_and_probe_count_accepted(self):
+        cfg = TrainConfig(
+            encoder=EncoderConfig(vocab_size=10), probe_count=0, checkpoint_every=0, eval_every=0, z_refresh_every=0
+        )
+        assert cfg.probe_count == 0
+
 
 class TestTrainBase:
     def test_lr_zero_leaves_params_unchanged(self):
