@@ -237,7 +237,7 @@ def _cmd_collect(args) -> int:
     kv = parse_kv_file(args.base) if args.base else {}
     kv.update(overrides)
     cfg, _ = train_config_from_kv(kv, len(ds.vocab))
-    cfg = replace(cfg, encoder=replace(enc_cfg, num_hard_weights=cfg.loss.k_frozen))
+    cfg = replace(cfg, encoder=enc_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _, summary = collect_candidates(params, cfg, ds.train, ds.vocab, out / "candidates.jsonl")
@@ -249,7 +249,7 @@ def _cmd_train(args) -> int:
     overrides = parse_overrides(args.config)
     cfg, extras, ds = _load_train_inputs(args, overrides)
     enc_cfg, params = load_checkpoint(args.ckpt)
-    cfg = replace(cfg, encoder=replace(enc_cfg, num_hard_weights=cfg.loss.k_frozen))
+    cfg = replace(cfg, encoder=enc_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.objective == "combined":

@@ -184,9 +184,6 @@ class Vocab:
     def token(self, idx: int) -> str:
         return self._tokens[idx]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self._tokens) + "\n", encoding="utf-8")
 
@@ -297,11 +294,6 @@ class Dataset:
     dev: list[Example]
     test: list[Example]
     vocab: Vocab
-
-    def split(self, name: str) -> list[Example]:
-        if name not in ("train", "dev", "test"):
-            raise ValueError(f"unknown split {name!r}")
-        return getattr(self, name)
 
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)

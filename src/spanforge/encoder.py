@@ -11,6 +11,9 @@ probability mass ever lands on question or special tokens.
 from __future__ import annotations
 
 import json
+import math
+import numbers
+import os
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Sequence
@@ -30,7 +33,11 @@ class EncoderConfig:
     num_hard_weights: int = 20
 
     def __post_init__(self):
-        if min(self.vocab_size, self.d_model, self.d_ff, self.max_len, self.num_hard_weights) < 1:
+        dims = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+        for name, value in dims.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"encoder dimension {name} must be an integer, not {value!r}")
+        if min(dims.values()) < 1:
             raise ValueError("all encoder dimensions must be positive")
 
 
@@ -375,23 +382,22 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, ModelParams]:
 
     Every refusal is a ValueError naming the path: a header that is not a
     JSON object with exactly the keys config, dtype and fields, a dtype other
-    than "<f8", a config that EncoderConfig refuses (unknown keys included), a
-    field list that differs from the layout its config implies (names, order
-    or shapes), a truncated field, and trailing bytes.
+    than "<f8", a config that EncoderConfig refuses (unknown keys and
+    dimensions that are not positive integers included), a field list that
+    differs from the layout its config implies (names, order or shapes), field
+    data shorter than that layout (checked before any field is read, so a
+    huge declared size costs nothing), and trailing bytes.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a spanforge checkpoint")
         config = _checkpoint_config(path, fh.readline())
-        layout = param_shapes(config)
-        fields = {}
-        for name, shape in layout:
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated checkpoint at field {name}")
-            fields[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
-        if fh.read(1):
+        need = 8 * sum(math.prod(shape) for _, shape in param_shapes(config))
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < need:
+            raise ValueError(f"{path}: truncated checkpoint ({left} bytes of field data, its config needs {need})")
+        if left > need:
             raise ValueError(f"{path}: trailing bytes after the last field")
-    return config, ModelParams(**fields)
+        blob = fh.read(need)
+    return config, unflatten_params(np.frombuffer(blob, dtype="<f8"), config)

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import Span, SpanIndex, span_text
 from .encoder import ForwardTrace
 from .numeric import pooling_matrix, unit_rows
-from .spandecode import PredictionSet, text_matches
+from .spandecode import text_matches
 
 MOST_SIMILAR = "most_similar"
 TOP1 = "top1"
@@ -117,15 +117,16 @@ def _pick(strategy, eligible, trace, starts, ends, gold, rng) -> np.ndarray:
 
 def select_hard_negatives(
     trace: ForwardTrace,
-    candidates: PredictionSet,
+    candidates: SpanIndex,
     gold: Span,
     strategy: MiningStrategy,
     rng: np.random.Generator | None = None,
 ) -> list[Span]:
     """Pick hard negatives from the candidate set; [] signals skip-contrastive.
 
-    The one-example case of ``mine_batch``: the candidates keep their rank
-    order, and the picked spans get their text from the passage.
+    The one-example case of ``mine_batch``: ``candidates`` is rank-ordered
+    (a PredictionSet or any SpanIndex), and the picked spans get their text
+    from the passage.
     """
     (picked,) = mine_batch(
         [trace], candidates.starts[None], candidates.ends[None], np.array([len(candidates)]), [gold], strategy, [rng]

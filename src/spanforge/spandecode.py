@@ -2,15 +2,17 @@
 construction with a gold-insertion guarantee, and an independent brute-force
 decoding oracle for the test suite.
 
-Candidate sets are index arrays: decoding, freezing and mining work on
-(start, end) positions, and span text is built from the passage only where a
-caller reads it (``PredictionSet.ranked``).
+Candidate sets are index arrays: a ``PredictionSet`` is a ``SpanIndex`` of
+(start, end) positions with scores, so decoding, freezing, mining and the
+losses all take it as it is. Span text comes only from the passage, built
+where a caller reads it (``PredictionSet.ranked``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -18,9 +20,6 @@ import numpy as np
 
 from .corpus import EncodedExample, Span, SpanIndex, span_text
 from .encoder import ForwardTrace
-
-FROZEN = "frozen"
-DYNAMIC = "dynamic"
 
 
 @dataclass(frozen=True)
@@ -30,78 +29,53 @@ class ScoredSpan:
     log_prob: float
 
 
-@dataclass(eq=False)
-class PredictionSet:
-    """Ranked candidate spans of one example as parallel arrays: start and end
-    positions (sequence coordinates), scores and log-probabilities.
+@dataclass(frozen=True, eq=False)
+class PredictionSet(SpanIndex):
+    """Ranked candidate spans of one example: a SpanIndex of start and end
+    positions (sequence coordinates) with parallel scores and
+    log-probabilities.
 
-    ``kind`` is "frozen" or "dynamic". ``enc`` resolves span text, which only
-    ``ranked`` builds, and the token keys that text matching compares.
-    Decoders build a set from arrays they already guarantee; ``from_ranked``
-    builds one from ScoredSpans and checks them.
+    ``enc`` is the example the positions index. Span text comes only from its
+    passage (``ranked``, ``texts``), and text matching compares its token
+    keys. Decoders build a set from arrays they already guarantee;
+    ``from_ranked`` builds one from ScoredSpans and checks them.
     """
 
-    starts: np.ndarray
-    ends: np.ndarray
     scores: np.ndarray
     log_probs: np.ndarray
-    kind: str
     enc: EncodedExample | None = None
-    _ranked: list[ScoredSpan] | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in (FROZEN, DYNAMIC):
-            raise ValueError(f"unknown prediction-set kind {self.kind!r}")
 
     @classmethod
-    def from_ranked(
-        cls, ranked: Sequence[ScoredSpan], kind: str, enc: EncodedExample | None = None
-    ) -> "PredictionSet":
-        """A set holding ``ranked``; refuses duplicate positions and, in a
-        dynamic set, increasing scores."""
-        seen = set()
-        for s in ranked:
-            key = s.span.positions
-            if key in seen:
-                raise ValueError(f"duplicate span {key} in prediction set")
-            seen.add(key)
-        if kind == DYNAMIC:
-            # decoder outputs are rank-ordered; a frozen set's last slot may
-            # hold an inserted gold whose score floats free of the ranking
-            scores = [s.score for s in ranked]
-            if any(a < b for a, b in zip(scores, scores[1:])):
-                raise ValueError("decoded prediction scores must be non-increasing")
-        out = cls(
-            starts=np.array([s.span.start for s in ranked], dtype=np.int64),
-            ends=np.array([s.span.end for s in ranked], dtype=np.int64),
-            scores=np.array([s.score for s in ranked], dtype=np.float64),
-            log_probs=np.array([s.log_prob for s in ranked], dtype=np.float64),
-            kind=kind,
-            enc=enc,
+    def from_ranked(cls, ranked: Sequence[ScoredSpan], enc: EncodedExample | None = None) -> "PredictionSet":
+        """A set holding the positions, scores and log-probabilities of
+        ``ranked`` (not its texts: ``ranked`` reads those from ``enc``);
+        refuses duplicate positions and increasing scores."""
+        positions = [s.span.positions for s in ranked]
+        if len(set(positions)) < len(positions):
+            dup = next(p for i, p in enumerate(positions) if p in positions[:i])
+            raise ValueError(f"duplicate span {dup} in prediction set")
+        scores = [s.score for s in ranked]
+        if any(a < b for a, b in zip(scores, scores[1:])):
+            raise ValueError("prediction scores must be non-increasing")
+        return cls(
+            np.array([s.span.start for s in ranked], dtype=np.int64),
+            np.array([s.span.end for s in ranked], dtype=np.int64),
+            np.array(scores, dtype=np.float64),
+            np.array([s.log_prob for s in ranked], dtype=np.float64),
+            enc,
         )
-        out._ranked = list(ranked)
-        return out
 
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    @property
+    @cached_property
     def ranked(self) -> list[ScoredSpan]:
-        """The set as ScoredSpans, texts resolved from ``enc``; built on first read."""
-        if self._ranked is None:
-            rows = zip(self.starts.tolist(), self.ends.tolist(), self.texts(), self.scores.tolist(),
-                       self.log_probs.tolist())
-            self._ranked = [ScoredSpan(Span(s, e, text), sc, lp) for s, e, text, sc, lp in rows]
-        return self._ranked
+        """The set as ScoredSpans, texts from the passage; built on first read."""
+        rows = zip(self.starts.tolist(), self.ends.tolist(), self.texts(), self.scores.tolist(), self.log_probs.tolist())
+        return [ScoredSpan(Span(s, e, text), sc, lp) for s, e, text, sc, lp in rows]
 
     def texts(self) -> list[str]:
-        """The span texts, in rank order."""
-        if self._ranked is not None:
-            return [s.span.text for s in self._ranked]
+        """The span texts, in rank order, from the passage of ``enc``."""
+        if self.enc is None:
+            raise ValueError("span text needs the prediction set's encoded example")
         return [span_text(self.enc, s, e) for s, e in zip(self.starts.tolist(), self.ends.tolist())]
-
-    def span_index(self) -> SpanIndex:
-        return SpanIndex(self.starts, self.ends)
 
 
 def _check_decode_args(enc: EncodedExample, k: int, max_answer_len: int) -> tuple[int, int]:
@@ -169,7 +143,7 @@ def topk_spans(trace: ForwardTrace, enc: EncodedExample, k: int, max_answer_len:
     starts, ends, scores, _ = topk_batch([trace], [enc], k, max_answer_len)
     starts, ends = starts[0], ends[0]
     log_probs = trace.start_logprobs[starts] + trace.end_logprobs[ends]
-    return PredictionSet(starts, ends, scores[0], log_probs, DYNAMIC, enc)
+    return PredictionSet(starts, ends, scores[0], log_probs, enc)
 
 
 def text_matches(
@@ -209,14 +183,10 @@ def brute_force_topk(trace: ForwardTrace, enc: EncodedExample, k: int, max_answe
             cands.append((float(trace.start_logits[i] + trace.end_logits[j]), i, j))
     cands.sort(key=lambda t: (-t[0], t[1], t[2]))
     ranked = [
-        ScoredSpan(
-            span=Span(i, j, span_text(enc, i, j)),
-            score=sc,
-            log_prob=float(trace.start_logprobs[i] + trace.end_logprobs[j]),
-        )
+        ScoredSpan(Span(i, j, span_text(enc, i, j)), sc, float(trace.start_logprobs[i] + trace.end_logprobs[j]))
         for sc, i, j in cands[:k]
     ]
-    return PredictionSet.from_ranked(ranked, DYNAMIC, enc)
+    return PredictionSet.from_ranked(ranked, enc)
 
 
 def build_frozen_set(
@@ -251,26 +221,18 @@ def build_frozen_set(
         )
         hits = np.flatnonzero(same[0])
     gold_rank = int(hits[0]) + 1 if hits.size else None
+    m = k if gold_rank is not None else k - 1  # predictions kept
+    if len(preds) < m:
+        raise ValueError(f"only {len(preds)} candidates available, cannot fill k={k}")
     if gold_rank is not None:
-        if len(starts) < k:
-            raise ValueError(f"only {len(starts)} candidates available, cannot fill k={k}")
-        frozen = PredictionSet(starts, ends, preds.scores[:k], preds.log_probs[:k], FROZEN, preds.enc)
-        ranked = None if preds._ranked is None else preds._ranked[:k]
-    else:
-        if len(preds) < k - 1:
-            raise ValueError(f"only {len(preds)} candidates available, cannot fill k={k}")
-        m = k - 1
-        frozen = PredictionSet(
-            np.append(preds.starts[:m], g0),
-            np.append(preds.ends[:m], g1),
-            np.append(preds.scores[:m], gold.score),
-            np.append(preds.log_probs[:m], gold.log_prob),
-            FROZEN,
-            preds.enc,
-        )
-        ranked = None if preds._ranked is None else preds._ranked[:m] + [gold]
-    frozen._ranked = ranked
-    return frozen, gold_rank
+        return PredictionSet(starts, ends, preds.scores[:k], preds.log_probs[:k], preds.enc), gold_rank
+    return PredictionSet(
+        np.append(preds.starts[:m], g0),
+        np.append(preds.ends[:m], g1),
+        np.append(preds.scores[:m], gold.score),
+        np.append(preds.log_probs[:m], gold.log_prob),
+        preds.enc,
+    ), None
 
 
 def store_record(example_id: str, frozen: PredictionSet, gold_rank: int | None) -> dict:
@@ -290,12 +252,20 @@ def write_candidate_store(path: str | Path, records: Iterable[dict]) -> None:
 
 
 def read_candidate_store(path: str | Path) -> dict[str, dict]:
+    """The store's records by id; refuses a line that is not a JSON object
+    with a string id, and a repeated id, naming the path and the line."""
     out: dict[str, dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: candidate record is not JSON ({exc})") from None
+            if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
+                raise ValueError(f"{path}:{lineno}: candidate record has no string id")
+            if rec["id"] in out:
+                raise ValueError(f"{path}:{lineno}: duplicate candidate id {rec['id']!r}")
             out[rec["id"]] = rec
     return out

@@ -192,7 +192,11 @@ def _encode_usable(
 ) -> tuple[list[EncodedExample], int]:
     encs = []
     skipped = 0
+    seen = set()
     for ex in examples:
+        if ex.id in seen:
+            raise ValueError(f"duplicate example id {ex.id!r}")
+        seen.add(ex.id)
         enc = encode(ex, vocab, config.encoder.max_len, config.question_max_len)
         if enc.usable:
             encs.append(enc)
@@ -338,11 +342,7 @@ def _maybe_checkpoint(config, params, probe, step, steps, out_dir, log, tag):
 
 def _maybe_eval(config, params, dev_examples, vocab, step, log):
     if config.eval_every > 0 and dev_examples and step % config.eval_every == 0:
-        report = evaluate(
-            params, config.encoder, dev_examples, vocab,
-            k_list=(1,), max_answer_len=config.max_answer_len,
-            question_max_len=config.question_max_len,
-        )
+        report = run_eval(params, config, dev_examples, vocab, k_list=(1,))
         log.add(kind="eval", step=step, em=report.em, f1=report.f1)
 
 
@@ -569,7 +569,7 @@ def _combined_steps(
     mine_cache: dict[str, tuple[int, SpanIndex]] = {}
     for step, batch_encs in batches:
         if config.z_refresh_every > 0 and step > 0 and step % config.z_refresh_every == 0:
-            frozen_map = {enc.id: _frozen_set(params, config, enc)[0].span_index() for enc in encs}
+            frozen_map = {enc.id: _frozen_set(params, config, enc)[0] for enc in encs}
             log.add(kind="z_refresh", step=step)
 
         items, traces, mined_log = _assemble_batch(params, config, batch_encs, frozen_map, mine_cache, step)

@@ -1,8 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spanforge.corpus import Example, Span, Vocab, encode
 from spanforge.encoder import (
@@ -351,3 +354,98 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not JSON") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("key", ["d_ff", "num_hard_weights"])
+    def test_float_dimension_rejected(self, tmp_path, key):
+        # [10] == [10.0] in Python, so the field list alone would let it pass
+        def to_float(header):
+            header["config"][key] = float(header["config"][key])
+
+        path = self._rewrite(tmp_path, to_float)
+        with pytest.raises(ValueError, match="must be an integer") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("value", [True, 2.0, "3", None])
+    def test_config_refuses_a_dimension_that_is_not_an_int(self, value):
+        with pytest.raises(ValueError, match="d_model must be an integer"):
+            EncoderConfig(vocab_size=10, d_model=value)
+
+    def test_huge_declared_size_rejected_before_reading(self, tmp_path):
+        def huge_vocab(header):
+            header["config"]["vocab_size"] = 10**15
+            header["fields"][0]["shape"][0] = 10**15
+
+        path = self._rewrite(tmp_path, huge_vocab)
+        with pytest.raises(ValueError, match="truncated") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+
+_CONFIG_VALUES = st.one_of(
+    st.integers(min_value=-2, max_value=10**15),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+
+
+class TestCheckpointProperties:
+    """load_checkpoint either returns or raises a ValueError naming the path,
+    whatever is done to a saved checkpoint."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        cfg = tiny_config()
+        save_checkpoint(path, cfg, init_params(cfg, seed=4))
+        return path, path.read_bytes()
+
+    @staticmethod
+    def _load_or_refuse(path, data):
+        path.write_bytes(data)
+        try:
+            load_checkpoint(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return False
+        return True
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.integers(min_value=0, max_value=2**20))
+    def test_truncation_at_any_offset(self, saved, cut):
+        path, data = saved
+        cut = cut % (len(data) + 1)
+        assert self._load_or_refuse(path, data[:cut]) == (cut == len(data))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tail=st.binary(min_size=1, max_size=64))
+    def test_any_trailing_bytes(self, saved, tail):
+        path, data = saved
+        assert not self._load_or_refuse(path, data + tail)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(offset=st.integers(min_value=0), byte=st.integers(min_value=0, max_value=255))
+    def test_any_one_byte_change_in_the_header_line(self, saved, offset, byte):
+        path, data = saved
+        first = data.index(b"\n") + 1
+        at = first + offset % (data.index(b"\n", first) + 1 - first)
+        self._load_or_refuse(path, data[:at] + bytes([byte]) + data[at + 1 :])
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        key=st.sampled_from(["vocab_size", "d_model", "d_ff", "max_len", "num_hard_weights"]),
+        value=_CONFIG_VALUES,
+        match_fields=st.booleans(),
+    )
+    def test_any_config_value(self, saved, key, value, match_fields):
+        path, data = saved
+        magic, header_line, blobs = data.split(b"\n", 2)
+        header = json.loads(header_line)
+        header["config"][key] = value
+        if match_fields:  # the field list its config implies, so only the config can refuse it
+            shapes = param_shapes(SimpleNamespace(**header["config"]))
+            header["fields"] = [{"name": name, "shape": list(shape)} for name, shape in shapes]
+        line = json.dumps(header, sort_keys=True).encode("utf-8")
+        self._load_or_refuse(path, magic + b"\n" + line + b"\n" + blobs)

@@ -38,8 +38,7 @@ class TestEligibility:
             [
                 scored(gold.start, gold.end, gold.text, 2.0),
                 scored(other.start, other.end, other.text, 1.0),
-            ],
-            "dynamic",
+            ]
         )
         negs = select_hard_negatives(trace, cands, gold, MiningStrategy())
         assert [s.positions for s in negs] == [other.positions]
@@ -55,8 +54,7 @@ class TestEligibility:
             [
                 scored(copy_pos, copy_pos, "v0", 3.0),
                 scored(p0 + 5, p0 + 5, "v2", 2.0),
-            ],
-            "dynamic",
+            ]
         )
         negs = select_hard_negatives(trace, cands, gold, MiningStrategy())
         assert [s.text for s in negs] == ["v2"]
@@ -66,13 +64,13 @@ class TestEligibility:
         gold = enc.gold_in_sequence
         p0 = enc.passage_region[0]
         cands = PredictionSet.from_ranked(
-            [scored(p0 + 4, p0 + 4, "V0", 3.0), scored(p0 + 5, p0 + 5, "v2", 2.0)], "dynamic"
+            [scored(p0 + 4, p0 + 4, "V0", 3.0), scored(p0 + 5, p0 + 5, "v2", 2.0)]
         )
         assert [s.text for s in select_hard_negatives(trace, cands, gold, MiningStrategy(variant="top1"))] == ["v2"]
 
     def test_candidate_outside_region_refused(self):
         trace, enc = real_trace()
-        cands = PredictionSet.from_ranked([scored(0, 0, "[CLS]", 1.0)], "dynamic")
+        cands = PredictionSet.from_ranked([scored(0, 0, "[CLS]", 1.0)])
         with pytest.raises(ValueError, match="outside passage region"):
             select_hard_negatives(trace, cands, enc.gold_in_sequence, MiningStrategy(variant="top1"))
 
@@ -81,8 +79,7 @@ class TestEligibility:
         gold = enc.gold_in_sequence
         p0 = enc.passage_region[0]
         cands = PredictionSet.from_ranked(
-            [scored(gold.start, gold.end, "v0", 2.0), scored(p0 + 4, p0 + 4, "v0", 1.0)],
-            "dynamic",
+            [scored(gold.start, gold.end, "v0", 2.0), scored(p0 + 4, p0 + 4, "v0", 1.0)]
         )
         assert select_hard_negatives(trace, cands, gold, MiningStrategy()) == []
 

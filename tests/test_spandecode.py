@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import fake_trace, make_enc
-from spanforge.corpus import Span
+from spanforge.corpus import Span, SpanIndex, span_text
+from spanforge.losses import hard_loss_grads
 from spanforge.spandecode import (
-    FROZEN,
     PredictionSet,
     ScoredSpan,
     brute_force_topk,
@@ -143,43 +143,50 @@ class TestOracleEquivalence:
                 assert candidate_count(plen, cap) == direct
 
 
-def _scored(start, end, score):
-    return ScoredSpan(span=Span(start, end, f"s{start}e{end}"), score=score, log_prob=-1.0)
+def _scored(start, end, score, enc=None):
+    text = span_text(enc, start, end) if enc is not None else f"s{start}e{end}"
+    return ScoredSpan(span=Span(start, end, text), score=score, log_prob=-1.0)
 
 
 def _preds(n, base=10.0):
-    # distinct single-token spans at positions 0..n-1 with decreasing scores
-    return PredictionSet.from_ranked([_scored(i, i, base - i) for i in range(n)], "dynamic")
+    # distinct single-token spans at passage slots 0..n-1 of a passage with
+    # ten more slots, scores decreasing
+    enc = make_enc([f"t{i}" for i in range(n + 10)])
+    p0 = enc.passage_region[0]
+    return PredictionSet.from_ranked([_scored(p0 + i, p0 + i, base - i, enc) for i in range(n)], enc)
 
 
 class TestBuildFrozen:
     def test_gold_in_topk_unchanged(self):
         preds = _preds(25)
-        gold = _scored(2, 2, 8.0)
+        p0 = preds.enc.passage_region[0]
+        gold = _scored(p0 + 2, p0 + 2, 8.0, preds.enc)
         frozen, rank = build_frozen_set(preds, gold, k=20)
         assert rank == 3
         assert frozen.ranked == preds.ranked[:20]
-        assert frozen.kind == FROZEN
 
     def test_gold_absent_replaces_last(self):
         preds = _preds(20)
-        gold = ScoredSpan(span=Span(50, 50, "gold"), score=-5.0, log_prob=-9.0)
+        p0 = preds.enc.passage_region[0]
+        gold = ScoredSpan(span=Span(p0 + 25, p0 + 25, "t25"), score=-5.0, log_prob=-9.0)
         frozen, rank = build_frozen_set(preds, gold, k=20)
         assert rank is None
         assert len(frozen) == 20
         assert frozen.ranked[:19] == preds.ranked[:19]
-        assert frozen.ranked[19] is gold
+        assert frozen.ranked[19] == gold
 
     def test_k1_gold_not_top1(self):
         preds = _preds(5)
-        gold = ScoredSpan(span=Span(9, 9, "gold"), score=0.0, log_prob=-9.0)
+        p0 = preds.enc.passage_region[0]
+        gold = ScoredSpan(span=Span(p0 + 9, p0 + 9, "t9"), score=0.0, log_prob=-9.0)
         frozen, rank = build_frozen_set(preds, gold, k=1)
         assert rank is None
-        assert [s.span.positions for s in frozen.ranked] == [(9, 9)]
+        assert [s.span.positions for s in frozen.ranked] == [(p0 + 9, p0 + 9)]
 
     def test_insufficient_candidates_rejected(self):
         preds = _preds(3)
-        gold = ScoredSpan(span=Span(9, 9, "gold"), score=0.0, log_prob=-9.0)
+        p0 = preds.enc.passage_region[0]
+        gold = ScoredSpan(span=Span(p0 + 9, p0 + 9, "t9"), score=0.0, log_prob=-9.0)
         with pytest.raises(ValueError):
             build_frozen_set(preds, gold, k=5)
 
@@ -187,33 +194,71 @@ class TestBuildFrozen:
         # the gold's text recurs, differently cased, at passage slot 1
         enc = make_enc(["a", "dup", "b", "Dup"])
         p0 = enc.passage_region[0]
-        ranked = [_scored(p0, p0, 5.0), ScoredSpan(span=Span(p0 + 1, p0 + 1, "dup"), score=4.0, log_prob=-1.0)]
-        preds = PredictionSet.from_ranked(ranked, "dynamic", enc)
+        ranked = [_scored(p0, p0, 5.0, enc), _scored(p0 + 1, p0 + 1, 4.0, enc)]
+        preds = PredictionSet.from_ranked(ranked, enc)
         gold = ScoredSpan(span=Span(p0 + 3, p0 + 3, "Dup"), score=1.0, log_prob=-2.0)
         frozen_pos, rank_pos = build_frozen_set(preds, gold, k=2, match="position")
-        assert rank_pos is None and frozen_pos.ranked[1] is gold
+        assert rank_pos is None and frozen_pos.ranked[1] == gold
         frozen_txt, rank_txt = build_frozen_set(preds, gold, k=2, match="text")
         assert rank_txt == 2 and frozen_txt.ranked == ranked
 
     def test_text_match_needs_the_passage(self):
+        preds = PredictionSet.from_ranked([_scored(i, i, 10.0 - i) for i in range(3)])
         with pytest.raises(ValueError, match="encoded example"):
-            build_frozen_set(_preds(3), _scored(1, 1, 9.0), k=2, match="text")
+            build_frozen_set(preds, _scored(1, 1, 9.0), k=2, match="text")
+
+    @pytest.mark.parametrize("gold_slot", [2, 25])
+    def test_frozen_set_is_a_span_index_for_the_hard_loss(self, gold_slot):
+        # both branches: the gold kept at rank 3, and the gold inserted
+        preds = _preds(20)
+        enc = preds.enc
+        p0 = enc.passage_region[0]
+        gold = _scored(p0 + gold_slot, p0 + gold_slot, -5.0, enc)
+        frozen, _ = build_frozen_set(preds, gold, k=20)
+        assert isinstance(frozen, SpanIndex)
+        rng = np.random.default_rng(5)
+        tr = fake_trace(enc, rng.normal(size=30), rng.normal(size=30))
+        u = rng.normal(size=20)
+        plain = SpanIndex(frozen.starts.copy(), frozen.ends.copy())
+        for a, b in zip(hard_loss_grads(tr, frozen, u), hard_loss_grads(tr, plain, u)):
+            assert np.array_equal(a, b)
 
 
 class TestPredictionSetInvariants:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError):
-            PredictionSet.from_ranked([_scored(0, 0, 2.0), _scored(0, 0, 1.0)], "dynamic")
+            PredictionSet.from_ranked([_scored(0, 0, 2.0), _scored(0, 0, 1.0)])
 
     def test_increasing_scores_rejected(self):
         with pytest.raises(ValueError):
-            PredictionSet.from_ranked([_scored(0, 0, 1.0), _scored(1, 1, 2.0)], "dynamic")
+            PredictionSet.from_ranked([_scored(0, 0, 1.0), _scored(1, 1, 2.0)])
+
+    def test_decoded_set_is_a_span_index(self):
+        enc = make_enc(["a", "b", "c"])
+        out = topk_spans(fake_trace(enc, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), enc, k=4, max_answer_len=2)
+        assert isinstance(out, SpanIndex)
+
+    def test_ranked_text_comes_from_the_passage(self):
+        enc = make_enc(["saint", "bernadette", "soubirous"])
+        p0 = enc.passage_region[0]
+        wrong = ScoredSpan(span=Span(p0 + 1, p0 + 2, "not the passage"), score=1.0, log_prob=-1.0)
+        preds = PredictionSet.from_ranked([wrong], enc)
+        assert preds.texts() == ["bernadette soubirous"]
+        assert preds.ranked == [ScoredSpan(Span(p0 + 1, p0 + 2, "bernadette soubirous"), 1.0, -1.0)]
+
+    def test_text_without_the_example_refused(self):
+        preds = PredictionSet.from_ranked([_scored(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="encoded example"):
+            preds.ranked
+        with pytest.raises(ValueError, match="encoded example"):
+            preds.texts()
 
 
 class TestStore:
     def test_roundtrip_exact_floats(self, tmp_path):
         preds = _preds(4, base=0.123456789012345)
-        gold = _scored(1, 1, 0.123456789012345 - 1)
+        p0 = preds.enc.passage_region[0]
+        gold = _scored(p0 + 1, p0 + 1, 0.123456789012345 - 1, preds.enc)
         frozen, rank = build_frozen_set(preds, gold, k=4)
         rec = store_record("ex0", frozen, rank)
         path = tmp_path / "candidates.jsonl"
@@ -221,3 +266,19 @@ class TestStore:
         back = read_candidate_store(path)
         assert back["ex0"] == json.loads(json.dumps(rec))
         assert back["ex0"]["spans"][0]["score"] == preds.ranked[0].score
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"spans": [], "gold_rank": null}', "no string id"),
+            ("[1, 2]", "no string id"),
+            ('{"id": "ex0", "spans": [', "not JSON"),
+            ('{"id": "ex0", "spans": [], "gold_rank": 1}', "duplicate candidate id 'ex0'"),
+        ],
+    )
+    def test_malformed_line_refused(self, tmp_path, line, message):
+        path = tmp_path / "candidates.jsonl"
+        path.write_text('{"id": "ex0", "spans": [], "gold_rank": 1}\n\n' + line + "\n")
+        with pytest.raises(ValueError, match=message) as err:
+            read_candidate_store(path)
+        assert f"{path}:3:" in str(err.value)

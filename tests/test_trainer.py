@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -225,6 +226,20 @@ class TestCollect:
         for k_str, frac in summary["recall_at"].items():
             k = int(k_str)
             assert frac == pytest.approx(sum(1 for r in ranked if r <= k) / n)
+
+    def test_duplicate_example_ids_refused(self):
+        from dataclasses import replace
+
+        ds = tiny_corpus()
+        train = ds.train[:8]
+        train[1] = replace(train[1], id=train[0].id)
+        cfg = tiny_config(ds)
+        params = init_params(cfg.encoder, seed=3)
+        with pytest.raises(ValueError, match=re.escape(f"duplicate example id {train[0].id!r}")):
+            collect_candidates(params, cfg, train, ds.vocab)
+        store = {r["id"]: r for r in collect_candidates(params, cfg, ds.train[:8], ds.vocab)[0]}
+        with pytest.raises(ValueError, match="duplicate example id"):
+            finetune(cfg, train, ds.vocab, store, params)
 
     def test_oracle_params_give_rank_one(self):
         # value-detector oracle on single-token-answer corpus: gold is always top-1
