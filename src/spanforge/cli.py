@@ -96,16 +96,28 @@ CORPUS_KEYS = {
 }
 
 
+def _typed(kv: dict[str, str], keys: dict[str, type], what: str) -> dict:
+    """``kv`` converted by ``keys``; refuses an unknown key, and a value that
+    does not convert, naming the key."""
+    unknown = set(kv) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    typed = {}
+    for key, value in kv.items():
+        try:
+            typed[key] = keys[key](value)
+        except ValueError:
+            raise ValueError(f"{what} key {key}: cannot read {value!r} as {keys[key].__name__}") from None
+    return typed
+
+
 def _take(typed: dict, *keys: str) -> dict:
     """Remove and return the entries of ``typed`` under ``keys`` that were given."""
     return {key: typed.pop(key) for key in keys if key in typed}
 
 
 def corpus_spec_from_kv(kv: dict[str, str]) -> CorpusSpec:
-    unknown = set(kv) - set(CORPUS_KEYS)
-    if unknown:
-        raise ValueError(f"unknown corpus keys: {sorted(unknown)}")
-    typed = {k: CORPUS_KEYS[k](v) for k, v in kv.items()}
+    typed = _typed(kv, CORPUS_KEYS, "corpus")
     policy = DistractorPolicy(**_take(typed, "prefix_overlap_count", "suffix_overlap_count", "full_decoys"))
     lo, hi = CorpusSpec.answer_len_range
     lo, hi = typed.pop("answer_len_min", lo), typed.pop("answer_len_max", hi)
@@ -147,10 +159,7 @@ TRAIN_KEYS = {
 
 def train_config_from_kv(kv: dict[str, str], vocab_size: int) -> tuple[TrainConfig, dict[str, str]]:
     """Build a TrainConfig from flat keys; returns leftover path-like keys."""
-    unknown = set(kv) - set(TRAIN_KEYS)
-    if unknown:
-        raise ValueError(f"unknown train keys: {sorted(unknown)}")
-    typed = {k: TRAIN_KEYS[k](v) for k, v in kv.items()}
+    typed = _typed(kv, TRAIN_KEYS, "train")
     extras = {"z_store": typed.pop("z_store", "")}
     strategy = _take(typed, "mining_variant", "mining_theta")
     loss = LossConfig(

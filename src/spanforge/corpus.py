@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -354,13 +354,29 @@ def write_examples_jsonl(path: str | Path, examples: Iterable[Example]) -> None:
             fh.write(json.dumps(example_to_dict(ex)) + "\n")
 
 
-def read_examples_jsonl(path: str | Path) -> list[Example]:
-    out = []
+def read_jsonl(path: str | Path, what: str, error: type[ValueError] = ValueError) -> Iterator[tuple[str, object]]:
+    """("path:line", value) for each non-blank line of a JSON Lines file;
+    refuses a line that is not JSON with ``error`` naming the path and line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(example_from_dict(json.loads(line)))
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}:{lineno}: {what} record is not JSON ({exc})") from None
+            yield f"{path}:{lineno}", value
+
+
+def read_examples_jsonl(path: str | Path) -> list[Example]:
+    """The examples of a JSON Lines file; refuses a line that is not an
+    example record with a CorpusError naming the path and the line."""
+    out = []
+    for where, obj in read_jsonl(path, "example", CorpusError):
+        try:
+            out.append(example_from_dict(obj))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{where}: bad example record ({type(exc).__name__}: {exc})") from None
     return out
 
 
@@ -442,6 +458,8 @@ def encode(example: Example, vocab: Vocab, max_len: int, question_max_len: int =
     unusable rather than silently mislabelled. A kept passage token that is
     empty or holds whitespace is refused with a CorpusError naming the example.
     """
+    if question_max_len < 0:
+        raise CorpusError(f"question_max_len must be >= 0, got {question_max_len}")
     q = list(example.question[:question_max_len])
     budget = max_len - len(q) - 3
     if budget < 1:

@@ -10,6 +10,7 @@ probability is the sum of the two log-softmax entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -113,63 +114,42 @@ def hard_loss_grads(trace: ForwardTrace, spans: Spans, u: Vec64) -> tuple[float,
     return loss, d_slp, d_elp, d_u
 
 
-def _as_hard_list(r_hard) -> list[Vec64]:
-    if r_hard is None:
-        return []
-    if isinstance(r_hard, np.ndarray) and r_hard.ndim == 1:
-        return [r_hard]
-    return list(r_hard)
+def contrastive_loss_grads(rows: Sequence[np.ndarray], tau: float) -> tuple[float, list[np.ndarray]]:
+    """Batch-mean InfoNCE over each item's pooled rows, with their gradients.
 
+    Item i brings one (2 + h_i, d) array: its question row, its gold row, then
+    its h_i hard-negative rows (h_i may be 0). Its denominator covers its own
+    gold, its own hard negatives and every other item's gold; the positive
+    pair sits in its own denominator. All similarities are cosine divided by
+    tau. Returns the loss and one gradient array per item, shaped like that
+    item's rows; cross-item gold entries receive gradient too.
 
-@dataclass
-class ContrastiveItemGrads:
-    d_question: Vec64
-    d_gold: Vec64
-    d_hards: list[Vec64]
-
-
-def contrastive_loss_grads(
-    batch: list[tuple[Vec64, Vec64, object]], tau: float
-) -> tuple[float, list[ContrastiveItemGrads]]:
-    """Batch-mean InfoNCE over (question, gold, hard-negative) representations.
-
-    For item i the denominator covers its own gold, its hard negative(s), and
-    every other item's gold; the positive pair sits in its own denominator.
-    All similarities are cosine divided by tau. Gradients flow to every
-    representation vector, including cross-item gold entries. Items may bring
-    different numbers of hard negatives, none included.
-
-    Computed in the in-batch matrix form: with Qn and Kn = [Gn; Hn] the
-    unit-normalised questions and keys (golds, then every item's hards), row
-    i of S = Qn Kn^T / tau is item i's logits, with other items' hards masked
-    out. The cosine Jacobian (dXn - Xn <Xn, dXn>) / |X| maps the gradients
-    back to the unnormalised vectors.
+    Computed in the in-batch matrix form: with Qn and Kn the unit-normalised
+    questions and keys (golds, then every item's hards), row i of
+    S = Qn Kn^T / tau is item i's logits, with other items' hards masked out.
+    The cosine Jacobian (dXn - Xn <Xn, dXn>) / |X| maps the gradients back to
+    the unnormalised rows.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if not batch:
+    if not rows:
         raise ValueError("contrastive loss over an empty batch")
-    B = len(batch)
-    hard_lists = [_as_hard_list(h) for _, _, h in batch]
-    counts = [len(hards) for hards in hard_lists]
-    q = np.stack([np.asarray(rq, dtype=np.float64) for rq, _, _ in batch])
-    keys = np.stack(
-        [np.asarray(rg, dtype=np.float64) for _, rg, _ in batch]
-        + [np.asarray(rh, dtype=np.float64) for hards in hard_lists for rh in hards]
-    )
-    qn, q_norm = unit_rows(q)
-    kn, k_norm = unit_rows(keys)
+    rows = [np.asarray(r, dtype=np.float64) for r in rows]
+    B = len(rows)
+    counts = [r.shape[0] - 2 for r in rows]
+    qn, q_norm = unit_rows(np.stack([r[0] for r in rows]))
+    kn, k_norm = unit_rows(np.concatenate([np.stack([r[1] for r in rows])] + [r[2:] for r in rows]))
 
-    rows = np.arange(B)
-    owner = np.repeat(rows, counts)
+    items = np.arange(B)
+    owner = np.repeat(items, counts)
     logits = (qn @ kn.T) / tau
-    logits[:, B:][owner[None, :] != rows[:, None]] = -np.inf
+    logits[:, B:][owner[None, :] != items[:, None]] = -np.inf
     lse = logsumexp(logits)
-    loss = float(np.mean(lse[:, 0] - logits[rows, rows]))
+    loss = float(np.mean(lse[:, 0] - logits[items, items]))
 
     # d(loss)/d(logit) = (softmax - onehot(positive)) / B; masked entries are 0
     coeff = np.exp(logits - lse)
-    coeff[rows, rows] -= 1.0
+    coeff[items, items] -= 1.0
     coeff /= tau * B
     d_qn = coeff @ kn
     d_kn = coeff.T @ qn
@@ -177,16 +157,17 @@ def contrastive_loss_grads(
     d_k = (d_kn - kn * np.sum(kn * d_kn, axis=1, keepdims=True)) / k_norm
 
     bounds = np.cumsum([B] + counts)
-    grads = [
-        ContrastiveItemGrads(d_question=d_q[i], d_gold=d_k[i], d_hards=list(d_k[bounds[i] : bounds[i + 1]]))
-        for i in range(B)
-    ]
-    return loss, grads
+    return loss, [np.vstack([d_q[i], d_k[i], d_k[bounds[i] : bounds[i + 1]]]) for i in range(B)]
 
 
-def contrastive_loss(batch: list[tuple[Vec64, Vec64, object]], tau: float) -> float:
-    value, _ = contrastive_loss_grads(batch, tau)
-    return value
+def contrastive_loss(batch: Sequence[tuple[Vec64, Vec64, object]], tau: float) -> float:
+    """InfoNCE value on (question, gold, hard negatives) tuples; the hard
+    negatives may be None, one vector, a sequence of vectors or a 2-d array."""
+    rows = []
+    for rq, rg, hards in batch:
+        hards = np.asarray([] if hards is None else hards, dtype=np.float64)
+        rows.append(np.vstack([rq, rg, np.atleast_2d(hards) if hards.size else hards.reshape(0, len(rq))]))
+    return contrastive_loss_grads(rows, tau)[0]
 
 
 def combined_loss(contrast: float, hard: float, alpha: float) -> float:

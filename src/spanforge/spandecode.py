@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import EncodedExample, Span, SpanIndex, span_text
+from .corpus import EncodedExample, Span, SpanIndex, read_jsonl, span_text
 from .encoder import ForwardTrace
 
 
@@ -255,17 +255,10 @@ def read_candidate_store(path: str | Path) -> dict[str, dict]:
     """The store's records by id; refuses a line that is not a JSON object
     with a string id, and a repeated id, naming the path and the line."""
     out: dict[str, dict] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: candidate record is not JSON ({exc})") from None
-            if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
-                raise ValueError(f"{path}:{lineno}: candidate record has no string id")
-            if rec["id"] in out:
-                raise ValueError(f"{path}:{lineno}: duplicate candidate id {rec['id']!r}")
-            out[rec["id"]] = rec
+    for where, rec in read_jsonl(path, "candidate"):
+        if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
+            raise ValueError(f"{where}: candidate record has no string id")
+        if rec["id"] in out:
+            raise ValueError(f"{where}: duplicate candidate id {rec['id']!r}")
+        out[rec["id"]] = rec
     return out

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import EncodedExample, Example, Span, SpanIndex, Vocab, encode, span_text
+from .corpus import EncodedExample, Example, Span, SpanIndex, Vocab, encode, read_jsonl, span_text
 from .encoder import (
     EncoderConfig,
     ForwardTrace,
@@ -99,11 +99,12 @@ class TrainConfig:
             raise ValueError("warmup must lie in [0, 1]")
         if self.remine_every < 1:
             raise ValueError("remine_every must be >= 1")
-        for name in ("checkpoint_every", "eval_every", "z_refresh_every", "probe_count"):
+        for name in ("checkpoint_every", "eval_every", "z_refresh_every", "probe_count", "question_max_len"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.probe_top_n < 1:
-            raise ValueError("probe_top_n must be >= 1")
+        for name in ("probe_top_n", "max_answer_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class RunLog:
@@ -125,12 +126,9 @@ class RunLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunLog":
+        """Refuses a line that is not JSON, naming the path and the line."""
         log = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    log.records.append(json.loads(line))
+        log.records = [rec for _, rec in read_jsonl(path, "run-log")]
         return log
 
 
@@ -445,56 +443,43 @@ def _combined_from_traces(
     if B == 0:
         raise ValueError("empty batch")
 
-    hard_vals = []
-    hard_ups: list[tuple[np.ndarray, np.ndarray]] = []
+    # one pass before the loss: each item's hard-loss terms and, for an item
+    # with negatives, one pooling matrix whose rows are question, gold, negatives
+    hard_scale = (1.0 - alpha) / B
+    hard_vals, ups, pools, rows = [], [], [], []
     d_u_total = np.zeros_like(params.u)
     for it, tr in zip(items, traces):
         hl, d_slp, d_elp, d_u = hard_loss_grads(tr, it.frozen_spans, params.u)
         hard_vals.append(hl)
-        hard_ups.append((d_slp, d_elp))
         d_u_total += d_u
-    hard_mean = float(sum(hard_vals) / B)
-
-    contrast_val = 0.0
-    token_grads: dict[int, np.ndarray] = {}
-    n_contrastive = 0
-    if alpha > 0.0:
-        live = [i for i, it in enumerate(items) if it.neg_spans]
-        n_contrastive = len(live)
-        if live:
-            # one pooling matrix per item: rows question, gold, negatives
-            pools, reprs = [], []
-            for i in live:
-                it, tr = items[i], traces[i]
-                gold_start, gold_end = span_bounds(it.enc, [it.gold])
-                neg_starts, neg_ends = span_bounds(it.enc, it.neg_spans)
-                q0, q1 = question_bounds(it.enc)
-                pool = pooling_matrix(
-                    tr.length,
-                    np.concatenate([[q0], gold_start, neg_starts]),
-                    np.concatenate([[q1], gold_end, neg_ends]),
-                )
-                pooled = pool @ tr.token_reprs
-                pools.append(pool)
-                reprs.append((pooled[0], pooled[1], pooled[2:]))
-            contrast_val, item_grads = contrastive_loss_grads(reprs, loss_cfg.tau)
-            for i, pool, ig in zip(live, pools, item_grads):
-                d_pooled = np.vstack([ig.d_question, ig.d_gold, *ig.d_hards])
-                token_grads[i] = alpha * (pool.T @ d_pooled)
-
-    total = zero_params(config.encoder)
-    hard_scale = (1.0 - alpha) / B
-    for i, (it, tr) in enumerate(zip(items, traces)):
         up = UpstreamGrads()
         if alpha < 1.0:
-            d_slp, d_elp = hard_ups[i]
             up.d_start_logprob = d_slp * hard_scale
             up.d_end_logprob = d_elp * hard_scale
-        if i in token_grads:
-            up.d_token_reprs = token_grads[i]
-        if up.d_start_logprob is None and up.d_token_reprs is None:
-            continue
-        backward(params, tr, up, into=total)
+        ups.append(up)
+        pool = None
+        if alpha > 0.0 and it.neg_spans:
+            gold_start, gold_end = span_bounds(it.enc, [it.gold])
+            neg_starts, neg_ends = span_bounds(it.enc, it.neg_spans)
+            q0, q1 = question_bounds(it.enc)
+            pool = pooling_matrix(
+                tr.length,
+                np.concatenate([[q0], gold_start, neg_starts]),
+                np.concatenate([[q1], gold_end, neg_ends]),
+            )
+            rows.append(pool @ tr.token_reprs)
+        pools.append(pool)
+    hard_mean = float(sum(hard_vals) / B)
+    contrast_val, d_rows = contrastive_loss_grads(rows, loss_cfg.tau) if rows else (0.0, [])
+
+    # one pass after: each item's upstream gradients into one backward
+    total = zero_params(config.encoder)
+    d_rows = iter(d_rows)
+    for up, pool, tr in zip(ups, pools, traces):
+        if pool is not None:
+            up.d_token_reprs = alpha * (pool.T @ next(d_rows))
+        if up.d_start_logprob is not None or up.d_token_reprs is not None:
+            backward(params, tr, up, into=total)
     if alpha < 1.0:
         total.u += hard_scale * d_u_total
 
@@ -503,7 +488,7 @@ def _combined_from_traces(
         hard=hard_mean,
         contrast=contrast_val,
         grads=total,
-        contrastive_items=n_contrastive,
+        contrastive_items=len(rows),
     )
 
 

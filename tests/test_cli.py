@@ -261,6 +261,15 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown train keys"):
             train_config_from_kv({"nope": "1"}, vocab_size=50)
 
+    @pytest.mark.parametrize("key, value", [("lr", "fast"), ("epochs", "1.5")])
+    def test_unreadable_train_value_names_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"train key {key}: cannot read {value!r}"):
+            train_config_from_kv({key: value}, vocab_size=50)
+
+    def test_unreadable_corpus_value_names_the_key(self):
+        with pytest.raises(ValueError, match="corpus key seed: cannot read 'x'"):
+            corpus_spec_from_kv({"seed": "x"})
+
     def test_train_config_mapping(self):
         cfg, extras = train_config_from_kv(
             {"tau": "2.5", "alpha": "0.3", "k_frozen": "7", "mining_variant": "top1", "z_store": "/x.jsonl"},

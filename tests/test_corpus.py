@@ -89,6 +89,26 @@ class TestGenerate:
         back = read_examples_jsonl(path)
         assert back == ds.train
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"id": "x", "question": ["a"], "passage": ["b"]}', "KeyError: 'answer'"),
+            ('{"id": "x", "question": ["a"],', "not JSON"),
+            (
+                '{"id": "x", "question": ["a"], "passage": ["b"], "answer": {"start": 3, "end": 3, "text": "b"}}',
+                "gold span outside passage",
+            ),
+        ],
+    )
+    def test_malformed_jsonl_line_refused(self, tmp_path, line, message):
+        ds = generate_corpus(small_spec())
+        path = tmp_path / "train.jsonl"
+        write_examples_jsonl(path, ds.train[:1])
+        path.write_text(path.read_text() + "\n" + line + "\n")
+        with pytest.raises(CorpusError, match=message) as err:
+            read_examples_jsonl(path)
+        assert f"{path}:3:" in str(err.value)
+
 
 class TestSquad:
     def _fixture(self, tmp_path, context, answers):
@@ -171,6 +191,11 @@ class TestEncode:
         ex = Example(id="e", question=("a",), passage=("b",), gold=Span(0, 0, "b"))
         with pytest.raises(CorpusError):
             encode(ex, tiny_vocab(), max_len=4)
+
+    def test_negative_question_max_len_refused(self):
+        ex = Example(id="e", question=("what", "a"), passage=("b",), gold=Span(0, 0, "b"))
+        with pytest.raises(CorpusError, match="question_max_len"):
+            encode(ex, tiny_vocab(), max_len=8, question_max_len=-1)
 
     def test_padding_and_mask(self):
         ex = Example(id="e", question=("a",), passage=("b",), gold=Span(0, 0, "b"))

@@ -289,28 +289,33 @@ class TestContrastive:
 
         rng = np.random.default_rng(11)
         dim = 4
-        B = 3
-        flat0 = rng.normal(size=B * 3 * dim)
+        sizes = (3, 2, 4)  # question, gold, then 1, 0 and 2 hard negatives
+        flat0 = rng.normal(size=sum(sizes) * dim)
 
         def unpack(flat):
-            out = []
-            for i in range(B):
-                base = i * 3 * dim
-                out.append(
-                    (
-                        flat[base : base + dim],
-                        flat[base + dim : base + 2 * dim],
-                        flat[base + 2 * dim : base + 3 * dim],
-                    )
-                )
-            return out
+            return np.split(flat.reshape(-1, dim), np.cumsum(sizes)[:-1])
 
-        value, grads = contrastive_loss_grads(unpack(flat0), tau=2.0)
-        analytic = np.concatenate(
-            [np.concatenate([g.d_question, g.d_gold, g.d_hards[0]]) for g in grads]
-        )
-        numeric = finite_diff_grad(lambda f: contrastive_loss(unpack(f), tau=2.0), flat0, eps=1e-6)
+        value, d_rows = contrastive_loss_grads(unpack(flat0), tau=2.0)
+        assert [d.shape for d in d_rows] == [(n, dim) for n in sizes]
+        analytic = np.concatenate([d.ravel() for d in d_rows])
+        numeric = finite_diff_grad(lambda f: contrastive_loss_grads(unpack(f), tau=2.0)[0], flat0, eps=1e-6)
         assert max_rel_error(analytic, numeric) <= 1e-6
+
+    @pytest.mark.parametrize("form", ["none", "vector", "empty_list", "list", "array"])
+    def test_tuple_forms_equal_stacked_rows_bitwise(self, form):
+        rng = np.random.default_rng(15)
+        q, g, other_q, other_g = rng.normal(size=(4, 5))
+        hards = rng.normal(size=(2, 5))
+        given, stacked = {
+            "none": (None, hards[:0]),
+            "vector": (hards[0], hards[:1]),
+            "empty_list": ([], hards[:0]),
+            "list": (list(hards), hards),
+            "array": (hards, hards),
+        }[form]
+        batch = [(q, g, given), (other_q, other_g, hards)]
+        rows = [np.vstack([q, g, stacked]), np.vstack([other_q, other_g, hards])]
+        assert contrastive_loss(batch, tau=3.0) == contrastive_loss_grads(rows, tau=3.0)[0]
 
 
 def reference_contrastive_loss_grads(batch, tau):
@@ -371,20 +376,20 @@ class TestContrastiveMatrixForm:
                 for c in counts
             ]
             tau = float(rng.uniform(0.5, 20.0))
-            value, grads = contrastive_loss_grads(batch, tau)
+            value, d_rows = contrastive_loss_grads([np.vstack([q, g, *hs]) for q, g, hs in batch], tau)
             ref_value, ref_grads = reference_contrastive_loss_grads(batch, tau)
             assert abs(value - ref_value) <= 1e-12
-            for got, (dq, dg, dhs) in zip(grads, ref_grads):
-                np.testing.assert_allclose(got.d_question, dq, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(got.d_gold, dg, rtol=0, atol=1e-12)
-                assert len(got.d_hards) == len(dhs)
-                for gh, rh in zip(got.d_hards, dhs):
+            for got, (dq, dg, dhs) in zip(d_rows, ref_grads):
+                assert got.shape == (2 + len(dhs), dim)
+                np.testing.assert_allclose(got[0], dq, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got[1], dg, rtol=0, atol=1e-12)
+                for gh, rh in zip(got[2:], dhs):
                     np.testing.assert_allclose(gh, rh, rtol=0, atol=1e-12)
 
     def test_zero_norm_hard_rejected(self):
-        batch = [(np.ones(3), np.ones(3), [np.ones(3), np.zeros(3)]), (np.ones(3), -np.ones(3), None)]
+        rows = [np.array([np.ones(3), np.ones(3), np.ones(3), np.zeros(3)]), np.array([np.ones(3), -np.ones(3)])]
         with pytest.raises(ValueError, match="zero-norm"):
-            contrastive_loss_grads(batch, tau=1.0)
+            contrastive_loss_grads(rows, tau=1.0)
 
 
 class TestCombined:

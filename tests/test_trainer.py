@@ -19,6 +19,7 @@ from spanforge.numeric import finite_diff_grad, max_rel_error
 from spanforge.spandecode import read_candidate_store, topk_spans
 from spanforge.trainer import (
     BatchItem,
+    RunLog,
     TrainConfig,
     adamw_step,
     collect_candidates,
@@ -136,6 +137,8 @@ class TestTrainConfigRefusals:
             ("checkpoint_every", -1),
             ("eval_every", -1),
             ("z_refresh_every", -1),
+            ("max_answer_len", 0),
+            ("question_max_len", -1),
         ],
     )
     def test_refused(self, field, value):
@@ -147,6 +150,17 @@ class TestTrainConfigRefusals:
             encoder=EncoderConfig(vocab_size=10), probe_count=0, checkpoint_every=0, eval_every=0, z_refresh_every=0
         )
         assert cfg.probe_count == 0
+
+
+def test_run_log_bad_line_refused_with_its_number(tmp_path):
+    log = RunLog()
+    log.add(kind="setup")
+    path = tmp_path / "run.jsonl"
+    log.save(path)
+    path.write_text(path.read_text() + '{"kind": "step",\n')
+    with pytest.raises(ValueError, match="not JSON") as err:
+        RunLog.load(path)
+    assert f"{path}:2:" in str(err.value)
 
 
 class TestTrainBase:
