@@ -2,7 +2,8 @@
 
 Each (value, seed) run finetunes from one shared base checkpoint so the axis
 effect is not confounded by base-model variance. The same machinery serves
-the temperature, frozen-set-size and mining-strategy axes.
+the temperature, frozen-set-size and mining-strategy axes. Everything is
+written to a temporary directory that is removed at the end.
 """
 
 import csv
@@ -11,36 +12,36 @@ from pathlib import Path
 
 from spanforge.cli import run
 
-root = Path(tempfile.mkdtemp(prefix="spanforge_sweep_"))
-(root / "corpus.cfg").write_text(
-    "vocab_size=80\nnum_examples=160\npassage_len=16\nanswer_len_min=1\nanswer_len_max=2\n"
-    "prefix_overlap_count=1\nsuffix_overlap_count=1\nfull_decoys=1\nseed=5\nnum_dev=20\nnum_test=20\n"
-)
-(root / "train.cfg").write_text(
-    "d_model=16\nd_ff=24\nmax_len=24\nk_frozen=5\nk_dynamic=10\nlr=0.005\nepochs=3\n"
-    "batch_size=16\ncheckpoint_every=0\nseed=0\nmax_answer_len=3\n"
-)
-
-assert run(["gen", "--spec", str(root / "corpus.cfg"), "--out", str(root / "data")]) == 0
-assert (
-    run(
-        [
-            "sweep",
-            "--axis", "alpha",
-            "--base", str(root / "train.cfg"),
-            "--data", str(root / "data"),
-            "--values", "0.1,0.5,0.9",
-            "--seeds", "0,1",
-            "--out", str(root / "sweep"),
-        ]
+with tempfile.TemporaryDirectory(prefix="spanforge_sweep_") as tmp:
+    root = Path(tmp)
+    (root / "corpus.cfg").write_text(
+        "vocab_size=80\nnum_examples=160\npassage_len=16\nanswer_len_min=1\nanswer_len_max=2\n"
+        "prefix_overlap_count=1\nsuffix_overlap_count=1\nfull_decoys=1\nseed=5\nnum_dev=20\nnum_test=20\n"
     )
-    == 0
-)
+    (root / "train.cfg").write_text(
+        "d_model=16\nd_ff=24\nmax_len=24\nk_frozen=5\nk_dynamic=10\nlr=0.005\nepochs=3\n"
+        "batch_size=16\ncheckpoint_every=0\nseed=0\nmax_answer_len=3\n"
+    )
 
-print("\naggregate rows:")
-with open(root / "sweep" / "sweep_alpha.csv") as fh:
-    for row in csv.reader(fh):
-        print(" ", ",".join(row))
-print("\nsummary table:")
-print((root / "sweep" / "sweep_alpha.txt").read_text())
-print(f"artifacts under {root}")
+    assert run(["gen", "--spec", str(root / "corpus.cfg"), "--out", str(root / "data")]) == 0
+    assert (
+        run(
+            [
+                "sweep",
+                "--axis", "alpha",
+                "--base", str(root / "train.cfg"),
+                "--data", str(root / "data"),
+                "--values", "0.1,0.5,0.9",
+                "--seeds", "0,1",
+                "--out", str(root / "sweep"),
+            ]
+        )
+        == 0
+    )
+
+    print("\naggregate rows:")
+    with open(root / "sweep" / "sweep_alpha.csv") as fh:
+        for row in csv.reader(fh):
+            print(" ", ",".join(row))
+    print("\nsummary table:")
+    print((root / "sweep" / "sweep_alpha.txt").read_text())

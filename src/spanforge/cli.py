@@ -16,11 +16,11 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .corpus import CorpusSpec, Dataset, DistractorPolicy, generate_corpus, read_examples_jsonl, Vocab
-from .encoder import EncoderConfig, load_checkpoint, save_checkpoint
+from .encoder import EncoderConfig, ModelParams, load_checkpoint, save_checkpoint
 from .losses import LossConfig
 from .metrics import EvalReport
 from .mining import MiningStrategy
@@ -43,19 +43,6 @@ DEFAULT_AXIS_VALUES = {
     "z_size": ["1", "5", "10", "20", "50"],
     "mining": ["most_similar:1", "most_similar:10", "most_similar:20", "top1", "random"],
 }
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    axis: str
-    values: tuple[str, ...]
-    seeds: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.axis not in DEFAULT_AXIS_VALUES:
-            raise ValueError(f"unknown sweep axis {self.axis!r}")
-        if not self.values or not self.seeds:
-            raise ValueError("sweep needs non-empty values and seeds")
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -172,15 +159,37 @@ def train_config_from_kv(kv: dict[str, str], vocab_size: int) -> tuple[TrainConf
     return TrainConfig(encoder=encoder, loss=loss, betas=betas, **typed), extras
 
 
-def _load_train_inputs(args, overrides) -> tuple[TrainConfig, dict, Dataset]:
-    data_dir = Path(args.data)
-    ds = Dataset.load(data_dir)
-    kv = parse_kv_file(args.base) if args.base else {}
+EVAL_KEYS = {"max_answer_len": int, "question_max_len": int, "vocab": str}
+
+
+def _config_layers(args, path: str | None) -> dict[str, str]:
+    """A command's keys, later layers winning: the KEY=VALUE file at ``path``,
+    then ``--config`` pairs, then ``--seed`` where the command has one. The
+    pairs are parsed first, so a malformed one is a usage error before any
+    file is read."""
+    overrides = parse_overrides(args.config)
+    kv = parse_kv_file(path) if path else {}
     kv.update(overrides)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         kv["seed"] = str(args.seed)
+    return kv
+
+
+def _from_checkpoint(args) -> tuple[TrainConfig, dict[str, str], Dataset, ModelParams]:
+    """``collect`` and ``train``: the layered config with the checkpoint's
+    encoder, its extras, the corpus and the checkpoint's parameters."""
+    kv = _config_layers(args, args.base)
+    ds = Dataset.load(Path(args.data))
     cfg, extras = train_config_from_kv(kv, len(ds.vocab))
-    return cfg, extras, ds
+    enc_cfg, params = load_checkpoint(args.ckpt)
+    return replace(cfg, encoder=enc_cfg), extras, ds, params
+
+
+def _dev_report(params: ModelParams, cfg: TrainConfig, ds: Dataset, out: Path, what: str) -> int:
+    report = run_eval(params, cfg, ds.dev, ds.vocab)
+    report.save_json(out / "dev_report.json")
+    print(f"{what} done: dev em={report.em:.4f} f1={report.f1:.4f}")
+    return 0
 
 
 def _threads_cap() -> int:
@@ -197,11 +206,7 @@ def _threads_cap() -> int:
 
 
 def _cmd_gen(args) -> int:
-    kv = parse_kv_file(args.spec) if args.spec else {}
-    kv.update(parse_overrides(args.config))
-    if args.seed is not None:
-        kv["seed"] = str(args.seed)
-    spec = corpus_spec_from_kv(kv)
+    spec = corpus_spec_from_kv(_config_layers(args, args.spec))
     ds = generate_corpus(spec)
     out = Path(args.out)
     ds.save(out)
@@ -229,24 +234,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train_base(args) -> int:
-    cfg, _, ds = _load_train_inputs(args, parse_overrides(args.config))
+    kv = _config_layers(args, args.base)
+    ds = Dataset.load(Path(args.data))
+    cfg, _ = train_config_from_kv(kv, len(ds.vocab))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params, log = train_base(cfg, ds.train, ds.vocab, dev_examples=ds.dev, out_dir=out)
-    report = run_eval(params, cfg, ds.dev, ds.vocab)
-    report.save_json(out / "dev_report.json")
-    print(f"base training done: dev em={report.em:.4f} f1={report.f1:.4f}")
-    return 0
+    params, _ = train_base(cfg, ds.train, ds.vocab, dev_examples=ds.dev, out_dir=out)
+    return _dev_report(params, cfg, ds, out, "base training")
 
 
 def _cmd_collect(args) -> int:
-    overrides = parse_overrides(args.config)
-    enc_cfg, params = load_checkpoint(args.ckpt)
-    ds = Dataset.load(Path(args.data))
-    kv = parse_kv_file(args.base) if args.base else {}
-    kv.update(overrides)
-    cfg, _ = train_config_from_kv(kv, len(ds.vocab))
-    cfg = replace(cfg, encoder=enc_cfg)
+    cfg, _, ds, params = _from_checkpoint(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _, summary = collect_candidates(params, cfg, ds.train, ds.vocab, out / "candidates.jsonl")
@@ -255,10 +253,7 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    overrides = parse_overrides(args.config)
-    cfg, extras, ds = _load_train_inputs(args, overrides)
-    enc_cfg, params = load_checkpoint(args.ckpt)
-    cfg = replace(cfg, encoder=enc_cfg)
+    cfg, extras, ds, params = _from_checkpoint(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.objective == "combined":
@@ -268,24 +263,17 @@ def _cmd_train(args) -> int:
         store = read_candidate_store(store_path)
     else:
         store = {}
-    tuned, log = finetune(cfg, ds.train, ds.vocab, store, params, dev_examples=ds.dev, out_dir=out)
-    report = run_eval(tuned, cfg, ds.dev, ds.vocab)
-    report.save_json(out / "dev_report.json")
-    print(f"finetune done: dev em={report.em:.4f} f1={report.f1:.4f}")
-    return 0
+    tuned, _ = finetune(cfg, ds.train, ds.vocab, store, params, dev_examples=ds.dev, out_dir=out)
+    return _dev_report(tuned, cfg, ds, out, "finetune")
 
 
 def _cmd_eval(args) -> int:
+    encoding = _typed(_config_layers(args, None), EVAL_KEYS, "eval")
     enc_cfg, params = load_checkpoint(args.ckpt)
     data_path = Path(args.data)
     examples = read_examples_jsonl(data_path)
-    overrides = parse_overrides(args.config)
-    vocab_path = Path(overrides.pop("vocab", data_path.parent / "vocab.txt"))
-    vocab = Vocab.load(vocab_path)
+    vocab = Vocab.load(Path(encoding.pop("vocab", data_path.parent / "vocab.txt")))
     k_list = tuple(int(k) for k in args.k.split(","))
-    encoding = {key: int(overrides.pop(key)) for key in ("max_answer_len", "question_max_len") if key in overrides}
-    if overrides:
-        raise ValueError(f"unknown eval overrides: {sorted(overrides)}")
     cfg = TrainConfig(encoder=enc_cfg, **encoding)
     report = run_eval(params, cfg, examples, vocab, k_list=k_list)
     out_csv = Path(args.out)
@@ -296,61 +284,54 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+AXIS_KEYS = {"z_size": "k_frozen"}  # every other axis but mining is its own key
+
+
 def _axis_overrides(axis: str, value: str) -> dict[str, str]:
-    if axis == "tau":
-        return {"tau": value}
-    if axis == "alpha":
-        return {"alpha": value}
-    if axis == "z_size":
-        return {"k_frozen": value}
-    if axis == "mining":
-        if value.startswith("most_similar"):
-            theta = value.split(":", 1)[1] if ":" in value else "1"
-            return {"mining_variant": "most_similar", "mining_theta": theta}
-        return {"mining_variant": value}
-    raise ValueError(f"unknown axis {axis!r}")
+    if axis != "mining":
+        return {AXIS_KEYS.get(axis, axis): value}
+    if value.startswith("most_similar"):
+        theta = value.split(":", 1)[1] if ":" in value else "1"
+        return {"mining_variant": "most_similar", "mining_theta": theta}
+    return {"mining_variant": value}
 
 
 def _cmd_sweep(args) -> int:
-    overrides = parse_overrides(args.config)
-    spec = SweepSpec(
-        axis=args.axis,
-        values=tuple(args.values.split(",")) if args.values else tuple(DEFAULT_AXIS_VALUES[args.axis]),
-        seeds=tuple(int(s) for s in args.seeds.split(",")) if args.seeds else (0,),
-    )
+    kv = _config_layers(args, args.base)
+    values = args.values.split(",") if args.values else DEFAULT_AXIS_VALUES[args.axis]
+    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
     ds = Dataset.load(Path(args.data))
-    base_kv = parse_kv_file(args.base) if args.base else {}
-    base_kv.update(overrides)
+    base_cfg, _ = train_config_from_kv(kv, len(ds.vocab))
+    # every value's config is built before any training, so a bad value is refused first
+    configs = [
+        (value, train_config_from_kv({**kv, **_axis_overrides(args.axis, value)}, len(ds.vocab))[0]) for value in values
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     # one shared base checkpoint so axis effects are not confounded
-    base_cfg, _ = train_config_from_kv(dict(base_kv), len(ds.vocab))
     base_params, _ = train_base(base_cfg, ds.train, ds.vocab)
     save_checkpoint(out / "base.ckpt", base_cfg.encoder, base_params)
 
     rows = []
-    for value in spec.values:
-        kv = dict(base_kv)
-        kv.update(_axis_overrides(spec.axis, value))
-        cfg, _ = train_config_from_kv(kv, len(ds.vocab))
+    for value, cfg in configs:
         records, _ = collect_candidates(base_params, cfg, ds.train, ds.vocab)
         store = {r["id"]: r for r in records}
-        for seed in spec.seeds:
+        for seed in seeds:
             run_cfg = replace(cfg, seed=seed)
-            run_dir = out / f"{spec.axis}_{value.replace(':', '_')}" / f"seed_{seed}"
+            run_dir = out / f"{args.axis}_{value.replace(':', '_')}" / f"seed_{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
             tuned, _ = finetune(run_cfg, ds.train, ds.vocab, store, base_params, out_dir=run_dir)
             report = run_eval(tuned, run_cfg, ds.test, ds.vocab)
             report.save_json(run_dir / "report.json")
             report.save_csv(run_dir / "report.csv")
             with open(run_dir / "meta.json", "w", encoding="utf-8", newline="\n") as fh:
-                json.dump({"axis": spec.axis, "value": value, "seed": seed}, fh, sort_keys=True)
+                json.dump({"axis": args.axis, "value": value, "seed": seed}, fh, sort_keys=True)
                 fh.write("\n")
             rows.append({"value": value, "seed": seed, "em": report.em, "f1": report.f1})
-            print(f"{spec.axis}={value} seed={seed}: test em={report.em:.4f} f1={report.f1:.4f}")
+            print(f"{args.axis}={value} seed={seed}: test em={report.em:.4f} f1={report.f1:.4f}")
 
-    _write_aggregate(out / f"sweep_{spec.axis}", spec.axis, rows)
+    _write_aggregate(out / f"sweep_{args.axis}", args.axis, rows)
     return 0
 
 
@@ -395,10 +376,8 @@ def _cmd_report(args) -> int:
             missing.append(str(rd))
             continue
         report = EvalReport.load_json(report_path)
-        meta = {}
         meta_path = rd / "meta.json"
-        if meta_path.exists():
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
         rows.append(
             {
                 "value": str(meta.get("value", rd.name)),
@@ -411,11 +390,7 @@ def _cmd_report(args) -> int:
         for m in missing:
             print(f"missing report.json in {m}", file=sys.stderr)
         return 2
-    if not rows:
-        print("no run directories given", file=sys.stderr)
-        return 2
-    axis = "value"
-    _write_aggregate(Path(args.out), axis, rows)
+    _write_aggregate(Path(args.out), "value", rows)
     print(Path(args.out).with_suffix(".txt").read_text(encoding="utf-8"))
     return 0
 

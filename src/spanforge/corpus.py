@@ -18,6 +18,7 @@ suffix guarantee collapses into it.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -381,21 +382,10 @@ def read_examples_jsonl(path: str | Path) -> list[Example]:
 
 
 def _token_boundaries(text: str) -> tuple[list[str], list[int], list[int]]:
-    """Whitespace tokens with their character start/end (exclusive) offsets."""
-    tokens, starts, ends = [], [], []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        tokens.append(text[i:j])
-        starts.append(i)
-        ends.append(j)
-        i = j
-    return tokens, starts, ends
+    """The tokens of ``text.split()`` with their character start/end
+    (exclusive) offsets."""
+    found = list(re.finditer(r"\S+", text))
+    return [m.group() for m in found], [m.start() for m in found], [m.end() for m in found]
 
 
 def load_squad_json(path: str | Path) -> tuple[list[Example], int]:

@@ -126,9 +126,12 @@ class RunLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunLog":
-        """Refuses a line that is not JSON, naming the path and the line."""
+        """Refuses a line that is not a JSON object, naming the path and the line."""
         log = cls()
-        log.records = [rec for _, rec in read_jsonl(path, "run-log")]
+        for where, rec in read_jsonl(path, "run-log"):
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}: run-log record is not an object")
+            log.records.append(rec)
         return log
 
 

@@ -1,12 +1,13 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from spanforge.cli import (
     DEFAULT_AXIS_VALUES,
-    SweepSpec,
+    _axis_overrides,
     corpus_spec_from_kv,
     parse_kv_file,
     run,
@@ -219,6 +220,28 @@ class TestSweepAndReport:
         assert run(["report", *run_dirs, "--out", str(out_stem)]) == 0
         assert out_stem.with_suffix(".csv").exists()
 
+    @pytest.mark.parametrize("axis, values", [("alpha", "0.5,abc"), ("mining", "random:3")])
+    def test_bad_value_refused_before_training(self, workdir, tmp_path, axis, values):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--axis", axis, "--base", str(workdir / "train.cfg"), "--data", str(workdir / "data")]
+        assert run([*argv, "--values", values, "--out", str(out)]) == 2
+        assert not (out / "base.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "value, strategy",
+        [
+            ("most_similar", MiningStrategy("most_similar", 1)),
+            ("most_similar:2", MiningStrategy("most_similar", 2)),
+            ("top1", MiningStrategy("top1")),
+            ("random", MiningStrategy("random")),
+        ],
+    )
+    def test_mining_axis_overrides(self, value, strategy):
+        base = {"k_frozen": "4", "alpha": "0.3"}
+        cfg, _ = train_config_from_kv({**base, **_axis_overrides("mining", value)}, vocab_size=50)
+        expected, _ = train_config_from_kv(base, vocab_size=50)
+        assert cfg == replace(expected, loss=replace(expected.loss, mining=strategy))
+
     def test_report_missing_dir_exit_2(self, tmp_path):
         empty = tmp_path / "empty_run"
         empty.mkdir()
@@ -234,6 +257,26 @@ class TestUsageErrors:
 
     def test_bad_config_pair_exit_1(self, workdir):
         assert run(["gen", "--spec", str(workdir / "corpus.cfg"), "--out", "/tmp/x", "--config", "oops"]) == 1
+
+    @pytest.mark.parametrize("command", ["gen", "train-base", "collect", "train", "eval", "sweep"])
+    def test_bad_config_pair_before_any_file(self, command, tmp_path):
+        missing = str(tmp_path / "missing")
+        inputs = {
+            "gen": ["--spec", missing],
+            "train-base": ["--base", missing, "--data", missing],
+            "collect": ["--ckpt", missing, "--data", missing],
+            "train": ["--ckpt", missing, "--data", missing],
+            "eval": ["--ckpt", missing, "--data", missing],
+            "sweep": ["--axis", "tau", "--data", missing],
+        }[command]
+        assert run([command, *inputs, "--out", str(tmp_path / "o"), "--config", "oops"]) == 1
+
+    def test_eval_unreadable_value_names_the_key(self, tmp_path, capsys):
+        argv = ["eval", "--ckpt", str(tmp_path / "c"), "--data", str(tmp_path / "d"), "--out", str(tmp_path / "o.csv")]
+        assert run([*argv, "--config", "max_answer_len=x"]) == 2
+        assert "eval key max_answer_len: cannot read 'x' as int" in capsys.readouterr().err
+        assert run([*argv, "--config", "nope=1"]) == 2
+        assert "unknown eval keys: ['nope']" in capsys.readouterr().err
 
     def test_runtime_failure_exit_2(self, tmp_path):
         assert run(["train-base", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 2
@@ -298,5 +341,4 @@ class TestConfigParsing:
         assert DEFAULT_AXIS_VALUES["tau"] == ["1", "2", "4", "8", "10", "12", "20"]
         assert DEFAULT_AXIS_VALUES["alpha"] == ["0.1", "0.3", "0.5", "0.7", "0.9"]
         assert DEFAULT_AXIS_VALUES["z_size"] == ["1", "5", "10", "20", "50"]
-        with pytest.raises(ValueError):
-            SweepSpec(axis="bogus", values=("1",), seeds=(0,))
+        assert run(["sweep", "--axis", "bogus", "--data", "data", "--out", "out"]) == 1

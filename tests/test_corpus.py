@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spanforge.corpus import (
@@ -110,6 +110,11 @@ class TestGenerate:
         assert f"{path}:3:" in str(err.value)
 
 
+# Every character str.isspace accepts, so contexts mix all kinds of whitespace.
+_SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+_CONTEXT = st.text(st.one_of(st.characters(), st.sampled_from(_SPACES)), max_size=40).filter(lambda t: t.split())
+
+
 class TestSquad:
     def _fixture(self, tmp_path, context, answers):
         obj = {
@@ -154,6 +159,29 @@ class TestSquad:
         path = self._fixture(tmp_path, context, [{"text": "old span", "answer_start": start}])
         examples, dropped = load_squad_json(path)
         assert examples == [] and dropped == 1
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(context=_CONTEXT, data=st.data())
+    def test_tokens_and_offsets_on_any_unicode(self, tmp_path, context, data):
+        tokens = context.split()
+        starts, pos = [], 0
+        for tok in tokens:
+            starts.append(context.index(tok, pos))
+            pos = starts[-1] + len(tok)
+        s = data.draw(st.integers(0, len(tokens) - 1))
+        e = data.draw(st.integers(s, len(tokens) - 1))
+        end = starts[e] + len(tokens[e])
+        answers = [{"text": context[starts[s] : end], "answer_start": starts[s]}]
+        long_tokens = [i for i, tok in enumerate(tokens) if len(tok) > 1]
+        if long_tokens:
+            i = data.draw(st.sampled_from(long_tokens))
+            mid = starts[i] + data.draw(st.integers(1, len(tokens[i]) - 1))
+            answers.append({"text": context[mid : starts[i] + len(tokens[i])], "answer_start": mid})
+        examples, dropped = load_squad_json(self._fixture(tmp_path, context, answers))
+        assert dropped == len(answers) - 1
+        assert [ex.passage for ex in examples] == [tuple(tokens)]
+        assert examples[0].gold.positions == (s, e)
+        assert examples[0].gold.text == " ".join(tokens[s : e + 1])
 
     def test_malformed_schema_names_node(self, tmp_path):
         path = tmp_path / "bad.json"

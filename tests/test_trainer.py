@@ -163,6 +163,15 @@ def test_run_log_bad_line_refused_with_its_number(tmp_path):
     assert f"{path}:2:" in str(err.value)
 
 
+@pytest.mark.parametrize("line", ["3", '"step"', "[1, 2]", "null"])
+def test_run_log_non_object_line_refused_with_its_number(tmp_path, line):
+    path = tmp_path / "run.jsonl"
+    path.write_text('{"kind": "setup"}\n' + line + "\n")
+    with pytest.raises(ValueError, match="run-log record is not an object") as err:
+        RunLog.load(path)
+    assert f"{path}:2:" in str(err.value)
+
+
 class TestTrainBase:
     def test_lr_zero_leaves_params_unchanged(self):
         ds = tiny_corpus()
