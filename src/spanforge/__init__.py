@@ -24,6 +24,6 @@ from .losses import LossConfig, ce_loss, combined_loss, contrastive_loss, hard_l
 from .metrics import EvalReport, evaluate, exact_match, f1_overlap, normalize, topk_em
 from .mining import MiningStrategy, select_hard_negatives
 from .spandecode import PredictionSet, ScoredSpan, build_frozen_set, topk_spans
-from .trainer import TrainConfig, collect_candidates, finetune, train_base
+from .trainer import TrainConfig, collect_candidates, finetune, run_eval, train_base
 
 __version__ = "0.1.0"

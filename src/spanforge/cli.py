@@ -290,9 +290,9 @@ AXIS_KEYS = {"z_size": "k_frozen"}  # every other axis but mining is its own key
 def _axis_overrides(axis: str, value: str) -> dict[str, str]:
     if axis != "mining":
         return {AXIS_KEYS.get(axis, axis): value}
-    if value.startswith("most_similar"):
-        theta = value.split(":", 1)[1] if ":" in value else "1"
-        return {"mining_variant": "most_similar", "mining_theta": theta}
+    variant, colon, theta = value.partition(":")
+    if variant == "most_similar":  # most_similar[:theta]; any other value goes to MiningStrategy as is
+        return {"mining_variant": variant, "mining_theta": theta if colon else "1"}
     return {"mining_variant": value}
 
 

@@ -1,5 +1,5 @@
-"""Exact match, macro-averaged token-overlap F1, top-k exact match, and the
-dataset-level evaluation driver.
+"""Exact match, macro-averaged token-overlap F1, top-k exact match, and their
+dataset-level aggregate ``evaluate`` (texts in, an ``EvalReport`` out; no model).
 
 Default normalization is lowercase + whitespace collapse only. The
 English-specific SQuAD conventions (article stripping, punctuation removal)
@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Example, Vocab, encode
-from .encoder import EncoderConfig, ModelParams, forward
-from .spandecode import topk_spans
+from .corpus import Example
 
 _PUNCT = set(string.punctuation)
 _ARTICLES = {"a", "an", "the"}
@@ -102,26 +100,20 @@ class EvalReport:
 
 
 def evaluate(
-    params: ModelParams,
-    config: EncoderConfig,
     examples: Iterable[Example],
-    vocab: Vocab,
+    ranked_texts: Iterable[Sequence[str]],
     k_list: Sequence[int] = (1, 3, 5, 10),
-    max_answer_len: int = 8,
-    question_max_len: int = 64,
     squad_style: bool = False,
 ) -> EvalReport:
-    """Decode top-max(k) spans per example and aggregate EM/F1/top-k EM."""
+    """EM/F1 of each example's top prediction and its top-k EM, aggregated.
+    ``ranked_texts`` holds each example's prediction texts, best first (kept
+    whole as ``top_preds``); a count unequal to the examples' is refused.
+    ``k_list`` is checked before either iterable is read."""
     k_list = tuple(k_list)
     if not k_list or min(k_list) < 1:
         raise ValueError("k_list must contain positive ks")
-    k_max = max(k_list)
     records = []
-    for ex in examples:
-        enc = encode(ex, vocab, config.max_len, question_max_len)
-        trace = forward(params, enc)
-        preds = topk_spans(trace, enc, k_max, max_answer_len)
-        texts = preds.texts()
+    for ex, texts in zip(examples, ranked_texts, strict=True):
         top1 = texts[0] if texts else ""
         rec = {
             "id": ex.id,

@@ -96,9 +96,11 @@ def candidate_count(passage_len: int, max_answer_len: int) -> int:
 
 
 def topk_batch(
-    traces: Sequence[ForwardTrace], encs: Sequence[EncodedExample], k: int, max_answer_len: int
+    start_logits: Sequence[np.ndarray], end_logits: Sequence[np.ndarray], encs: Sequence[EncodedExample],
+    k: int, max_answer_len: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The top-k legal spans of every example, ranked by summed logits.
+    """The top-k legal spans of every example, ranked by summed logits
+    (entry b of ``start_logits`` and ``end_logits`` is example b's head).
 
     Legal means start <= end, length <= max_answer_len, both ends inside the
     example's passage region. Ties break by (start asc, end asc). Returns
@@ -116,13 +118,13 @@ def topk_batch(
     width = min(max_answer_len, max(z - a for a, z in regions) + 1)
     B = len(encs)
     # Region logits, zero elsewhere: no sum below touches MASK_VALUE.
-    start_logits = np.zeros((B, n))
-    end_logits = np.zeros((B, n + width - 1))
-    for b, (tr, (a, z)) in enumerate(zip(traces, regions)):
-        start_logits[b, a - lo : z - lo + 1] = tr.start_logits[a : z + 1]
-        end_logits[b, a - lo : z - lo + 1] = tr.end_logits[a : z + 1]
+    starts_in = np.zeros((B, n))
+    ends_in = np.zeros((B, n + width - 1))
+    for b, (sl, el, (a, z)) in enumerate(zip(start_logits, end_logits, regions)):
+        starts_in[b, a - lo : z - lo + 1] = sl[a : z + 1]
+        ends_in[b, a - lo : z - lo + 1] = el[a : z + 1]
     ends = np.arange(n)[:, None] + np.arange(width)
-    band = start_logits[:, :, None] + end_logits[:, ends]
+    band = starts_in[:, :, None] + ends_in[:, ends]
     bounds = np.array(regions)[:, :, None, None] - lo
     band[(ends[:, :1] < bounds[:, 0]) | (ends > bounds[:, 1])] = -np.inf
     counts = np.array([min(k, candidate_count(z - a + 1, max_answer_len)) for a, z in regions])
@@ -134,16 +136,17 @@ def topk_batch(
 
 
 def topk_spans(trace: ForwardTrace, enc: EncodedExample, k: int, max_answer_len: int) -> PredictionSet:
-    """Rank every legal (start, end) pair by summed logits and keep the top k.
+    """The top-k legal spans of one example (fewer only when fewer exist):
+    the one-example case of ``topk_batch``, ranked and tie-broken alike."""
+    ranked = topk_batch([trace.start_logits], [trace.end_logits], [enc], k, max_answer_len)
+    return batch_row(ranked, 0, trace.start_logprobs, trace.end_logprobs, enc)
 
-    Legal means start <= end, length <= max_answer_len, both ends inside the
-    passage region. Ties break by (start asc, end asc). Returns fewer than k
-    only when fewer candidates exist. The one-example case of ``topk_batch``.
-    """
-    starts, ends, scores, _ = topk_batch([trace], [enc], k, max_answer_len)
-    starts, ends = starts[0], ends[0]
-    log_probs = trace.start_logprobs[starts] + trace.end_logprobs[ends]
-    return PredictionSet(starts, ends, scores[0], log_probs, enc)
+
+def batch_row(ranked: tuple, b: int, start_logprobs, end_logprobs, enc: EncodedExample) -> PredictionSet:
+    """Row b of a ``topk_batch`` result as example b's PredictionSet."""
+    m = int(ranked[3][b])
+    starts, ends, scores = (a[b, :m] for a in ranked[:3])
+    return PredictionSet(starts, ends, scores, start_logprobs[starts] + end_logprobs[ends], enc)
 
 
 def text_matches(

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -53,15 +55,17 @@ from .numeric import pooling_matrix
 from .spandecode import (
     PredictionSet,
     ScoredSpan,
+    batch_row,
     build_frozen_set,
     store_record,
     topk_batch,
-    topk_spans,
     write_candidate_store,
 )
 
 # Bias-like parameters are exempt from decoupled weight decay.
 NO_DECAY_FIELDS = ("head_b", "u")
+
+DECODE_CHUNK = 32  # examples per topk_batch call in decode
 
 
 @dataclass
@@ -218,6 +222,33 @@ def total_steps(n_examples: int, batch_size: int, epochs: int) -> int:
     return epochs * math.ceil(n_examples / batch_size)
 
 
+def gold_scored(trace: ForwardTrace, gold: Span) -> ScoredSpan:
+    return ScoredSpan(
+        span=gold,
+        score=float(trace.start_logits[gold.start] + trace.end_logits[gold.end]),
+        log_prob=float(trace.start_logprobs[gold.start] + trace.end_logprobs[gold.end]),
+    )
+
+
+def decode(
+    params: ModelParams, encs: Iterable[EncodedExample], k: int, max_answer_len: int
+) -> Iterator[tuple[PredictionSet, ScoredSpan | None]]:
+    """The one inference path: each example's top-k PredictionSet, in order, with its gold's
+    ScoredSpan (None if unusable); ``encs`` is read one topk_batch chunk at a time."""
+    encs = iter(encs)
+    while chunk := list(islice(encs, DECODE_CHUNK)):
+        heads, golds = [], []
+        for enc in chunk:
+            trace = forward(params, enc)
+            heads.append((trace.start_logits, trace.end_logits, trace.start_logprobs, trace.end_logprobs))
+            golds.append(gold_scored(trace, enc.gold_in_sequence) if enc.usable else None)
+            del trace  # only the head vectors outlive a forward, so at most one trace is ever alive
+        start_logits, end_logits, start_logprobs, end_logprobs = zip(*heads)
+        ranked = topk_batch(start_logits, end_logits, chunk, k, max_answer_len)
+        for b, (enc, gold) in enumerate(zip(chunk, golds)):
+            yield batch_row(ranked, b, start_logprobs[b], end_logprobs[b], enc), gold
+
+
 def log_probe_predictions(
     params: ModelParams,
     config: TrainConfig,
@@ -226,27 +257,18 @@ def log_probe_predictions(
     step: int,
 ) -> list[dict]:
     """Top-n spans with probabilities for each probe example at a checkpoint."""
-    records = []
-    for enc in probe_encs:
-        trace = forward(params, enc)
-        preds = topk_spans(trace, enc, n, config.max_answer_len)
-        records.append(
-            {
-                "kind": "probe",
-                "step": step,
-                "id": enc.id,
-                "preds": [
-                    {
-                        "start": s.span.start,
-                        "end": s.span.end,
-                        "text": s.span.text,
-                        "prob": float(np.exp(s.log_prob)),
-                    }
-                    for s in preds.ranked
-                ],
-            }
-        )
-    return records
+    return [
+        {
+            "kind": "probe",
+            "step": step,
+            "id": preds.enc.id,
+            "preds": [
+                {"start": s.span.start, "end": s.span.end, "text": s.span.text, "prob": float(np.exp(s.log_prob))}
+                for s in preds.ranked
+            ],
+        }
+        for preds, _ in decode(params, probe_encs, n, config.max_answer_len)
+    ]
 
 
 # A stage takes the stream of (step, batch) pairs and yields, per batch, the
@@ -347,22 +369,6 @@ def _maybe_eval(config, params, dev_examples, vocab, step, log):
         log.add(kind="eval", step=step, em=report.em, f1=report.f1)
 
 
-def gold_scored(trace: ForwardTrace, gold: Span) -> ScoredSpan:
-    return ScoredSpan(
-        span=gold,
-        score=float(trace.start_logits[gold.start] + trace.end_logits[gold.end]),
-        log_prob=float(trace.start_logprobs[gold.start] + trace.end_logprobs[gold.end]),
-    )
-
-
-def _frozen_set(params: ModelParams, config: TrainConfig, enc: EncodedExample) -> tuple[PredictionSet, int | None]:
-    """One example's frozen top-k_frozen set under ``params``, and the gold's rank."""
-    k = config.loss.k_frozen
-    trace = forward(params, enc)
-    preds = topk_spans(trace, enc, k, config.max_answer_len)
-    return build_frozen_set(preds, gold_scored(trace, enc.gold_in_sequence), k, config.z_match)
-
-
 def collect_candidates(
     params: ModelParams,
     config: TrainConfig,
@@ -377,12 +383,11 @@ def collect_candidates(
     """
     k = config.loss.k_frozen
     encs, skipped = _encode_usable(config, examples, vocab)
-    records = []
-    rank_hist: dict[str, int] = {}
-    for enc in encs:
-        frozen, gold_rank = _frozen_set(params, config, enc)
-        records.append(store_record(enc.id, frozen, gold_rank))
-        rank_hist[str(gold_rank)] = rank_hist.get(str(gold_rank), 0) + 1
+    records = [
+        store_record(preds.enc.id, *build_frozen_set(preds, gold, k, config.z_match))
+        for preds, gold in decode(params, encs, k, config.max_answer_len)
+    ]
+    rank_hist = Counter(str(r["gold_rank"]) for r in records)
     n = len(records)
     ranked = [r["gold_rank"] for r in records if r["gold_rank"] is not None]
     summary = {
@@ -557,7 +562,8 @@ def _combined_steps(
     mine_cache: dict[str, tuple[int, SpanIndex]] = {}
     for step, batch_encs in batches:
         if config.z_refresh_every > 0 and step > 0 and step % config.z_refresh_every == 0:
-            frozen_map = {enc.id: _frozen_set(params, config, enc)[0] for enc in encs}
+            fresh = decode(params, encs, config.loss.k_frozen, config.max_answer_len)
+            frozen_map = {p.enc.id: build_frozen_set(p, g, config.loss.k_frozen, config.z_match)[0] for p, g in fresh}
             log.add(kind="z_refresh", step=step)
 
         items, traces, mined_log = _assemble_batch(params, config, batch_encs, frozen_map, mine_cache, step)
@@ -604,7 +610,8 @@ def _assemble_batch(
         if stale:
             sub = [traces[b] for b in stale]
             encs = [batch_encs[b] for b in stale]
-            starts, ends, _, counts = topk_batch(sub, encs, config.loss.k_dynamic, config.max_answer_len)
+            heads = [tr.start_logits for tr in sub], [tr.end_logits for tr in sub]
+            starts, ends, _, counts = topk_batch(*heads, encs, config.loss.k_dynamic, config.max_answer_len)
             seeded = config.loss.mining.variant == "random"
             rngs = [mining_rng(config.seed, enc.id, step) if seeded else None for enc in encs]
             golds = [enc.gold_in_sequence for enc in encs]
@@ -637,12 +644,9 @@ def run_eval(
     vocab: Vocab,
     k_list: Sequence[int] = (1, 3, 5, 10),
 ) -> EvalReport:
-    return evaluate(
-        params,
-        config.encoder,
-        examples,
-        vocab,
-        k_list=k_list,
-        max_answer_len=config.max_answer_len,
-        question_max_len=config.question_max_len,
-    )
+    """EM, F1 and top-k EM of ``params`` on every example, usable or not, from the texts of its
+    top max(k_list) spans; encoding and decoding are lazy, so a bad k_list stops before either."""
+    k_list = tuple(k_list)
+    encs = (encode(ex, vocab, config.encoder.max_len, config.question_max_len) for ex in examples)
+    preds = decode(params, encs, max(k_list, default=1), config.max_answer_len)
+    return evaluate(examples, (p.texts() for p, _ in preds), k_list)

@@ -220,7 +220,10 @@ class TestSweepAndReport:
         assert run(["report", *run_dirs, "--out", str(out_stem)]) == 0
         assert out_stem.with_suffix(".csv").exists()
 
-    @pytest.mark.parametrize("axis, values", [("alpha", "0.5,abc"), ("mining", "random:3")])
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("alpha", "0.5,abc"), ("mining", "random:3"), ("mining", "most_similarity"), ("mining", "most_similar_top1")],
+    )
     def test_bad_value_refused_before_training(self, workdir, tmp_path, axis, values):
         out = tmp_path / "sweep"
         argv = ["sweep", "--axis", axis, "--base", str(workdir / "train.cfg"), "--data", str(workdir / "data")]

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanforge.corpus import CorpusSpec, DistractorPolicy, generate_corpus
+from spanforge.corpus import CorpusSpec, DistractorPolicy, Example, Span, generate_corpus
 from spanforge.encoder import EncoderConfig, init_params, zero_params
 from spanforge.metrics import EvalReport, evaluate, exact_match, f1_overlap, normalize, topk_em
+from spanforge.trainer import TrainConfig, run_eval
 
 
 class TestNormalize:
@@ -94,11 +95,31 @@ def small_corpus():
 
 
 class TestEvaluate:
+    def test_scores_hand_written_texts(self):
+        passage = ("f1", "Saint", "Bernadette", "f2", "1876")
+        examples = [
+            Example("a", ("what", "k"), passage, Span(1, 2, "Saint Bernadette")),
+            Example("b", ("what", "k"), passage, Span(4, 4, "1876")),
+        ]
+        texts = [["saint  BERNADETTE", "f1"], ["f2", "f1", "1876"]]
+        report = evaluate(examples, texts, k_list=(1, 3))
+        assert [r["em"] for r in report.records] == [1, 0]
+        assert [r["f1"] for r in report.records] == [1.0, 0.0]
+        assert [r["topk_em"] for r in report.records] == [{"1": 1, "3": 1}, {"1": 0, "3": 1}]
+        assert report.records[1]["top_preds"] == ["f2", "f1", "1876"]
+        assert report.em == 0.5 and report.f1 == 0.5 and report.topk == {1: 0.5, 3: 1.0}
+        with pytest.raises(ValueError):
+            evaluate(examples, texts[:1])
+        with pytest.raises(ValueError):
+            evaluate(examples[:1], texts)
+        with pytest.raises(ValueError, match="k_list"):
+            evaluate(examples, texts, k_list=(0, 1))
+
     def test_zero_model_report_is_consistent(self):
         ds = small_corpus()
         cfg = EncoderConfig(vocab_size=len(ds.vocab), d_model=4, d_ff=6, max_len=32, num_hard_weights=2)
         params = init_params(cfg, seed=0)
-        report = evaluate(params, cfg, ds.dev, ds.vocab, k_list=(1, 3, 5), max_answer_len=4)
+        report = run_eval(params, TrainConfig(encoder=cfg, max_answer_len=4), ds.dev, ds.vocab, k_list=(1, 3, 5))
         n = len(report.records)
         assert n == len(ds.dev)
         assert report.em == pytest.approx(sum(r["em"] for r in report.records) / n)
@@ -132,7 +153,7 @@ class TestEvaluate:
             params.token_emb[tok_id] = [1.0, 0.0] if is_value else [-1.0, 0.0]
         params.head_w[0] = [30.0, 0.0]
         params.head_w[1] = [30.0, 0.0]
-        report = evaluate(params, cfg, ds.test, ds.vocab, k_list=(1, 2), max_answer_len=2)
+        report = run_eval(params, TrainConfig(encoder=cfg, max_answer_len=2), ds.test, ds.vocab, k_list=(1, 2))
         assert report.em == 1.0 and report.f1 == 1.0
         assert report.topk[1] == 1.0 and report.topk[2] == 1.0
 
@@ -140,7 +161,7 @@ class TestEvaluate:
         ds = small_corpus()
         cfg = EncoderConfig(vocab_size=len(ds.vocab), d_model=4, d_ff=6, max_len=32, num_hard_weights=2)
         params = init_params(cfg, seed=2)
-        report = evaluate(params, cfg, ds.test, ds.vocab, k_list=(1, 3), max_answer_len=4)
+        report = run_eval(params, TrainConfig(encoder=cfg, max_answer_len=4), ds.test, ds.vocab, k_list=(1, 3))
         report.save_json(tmp_path / "report.json")
         back = EvalReport.load_json(tmp_path / "report.json")
         assert back.em == report.em and back.topk == report.topk
@@ -155,4 +176,4 @@ class TestEvaluate:
         ds = small_corpus()
         cfg = EncoderConfig(vocab_size=len(ds.vocab), d_model=4, d_ff=6, max_len=32, num_hard_weights=2)
         with pytest.raises(ValueError):
-            evaluate(init_params(cfg, 0), cfg, [], ds.vocab)
+            run_eval(init_params(cfg, 0), TrainConfig(encoder=cfg), [], ds.vocab)

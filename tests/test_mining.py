@@ -188,7 +188,8 @@ def test_batch_rows_equal_single_examples(strategy):
     rows = [real_trace(seed=b, passage=p, gold=(1, 1)) for b, p in enumerate(passages)]
     traces = [tr for tr, _ in rows]
     encs = [enc for _, enc in rows]
-    starts, ends, _, counts = topk_batch(traces, encs, 10, 3)
+    heads = [tr.start_logits for tr in traces], [tr.end_logits for tr in traces]
+    starts, ends, _, counts = topk_batch(*heads, encs, 10, 3)
     golds = [enc.gold_in_sequence for enc in encs]
 
     def rng(b):

@@ -107,7 +107,8 @@ class TestOracleEquivalence:
             traces = [fake_trace(enc, *rng.integers(-2, 3, size=(2, len(enc.passage_tokens)))) for enc in encs]
             k = int(rng.integers(1, 40))
             cap = int(rng.integers(1, 9))
-            starts, ends, scores, counts = topk_batch(traces, encs, k, cap)
+            heads = [tr.start_logits for tr in traces], [tr.end_logits for tr in traces]
+            starts, ends, scores, counts = topk_batch(*heads, encs, k, cap)
             for b, (tr, enc) in enumerate(zip(traces, encs)):
                 brute = brute_force_topk(tr, enc, k, cap).ranked
                 m = int(counts[b])
@@ -122,7 +123,7 @@ class TestOracleEquivalence:
         traces = [fake_trace(enc, *rng.normal(size=(2, len(enc.passage_tokens))) * 1e3) for enc in encs]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            topk_batch(traces, encs, 50, 8)
+            topk_batch([tr.start_logits for tr in traces], [tr.end_logits for tr in traces], encs, 50, 8)
             for tr, enc in zip(traces, encs):
                 topk_spans(tr, enc, 50, 8).ranked
 

@@ -1,10 +1,11 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spanforge.corpus import CorpusSpec, DistractorPolicy, generate_corpus
+from spanforge.corpus import CorpusSpec, DistractorPolicy, encode, generate_corpus
 from spanforge.encoder import (
     EncoderConfig,
     flatten_params,
@@ -18,13 +19,16 @@ from spanforge.mining import MiningStrategy
 from spanforge.numeric import finite_diff_grad, max_rel_error
 from spanforge.spandecode import read_candidate_store, topk_spans
 from spanforge.trainer import (
+    DECODE_CHUNK,
     BatchItem,
     RunLog,
     TrainConfig,
     adamw_step,
     collect_candidates,
     combined_batch,
+    decode,
     finetune,
+    gold_scored,
     init_adam_state,
     log_probe_predictions,
     run_eval,
@@ -588,6 +592,54 @@ class TestTrainingLoop:
         rec["spans"][1]["start"] = 0
         with pytest.raises(ValueError, match="outside passage region"):
             _frozen_spans_from_record(rec, enc, cfg.loss.k_frozen)
+
+
+class TestDecode:
+    def test_chunks_equal_one_example_decoding(self):
+        # 33 usable examples (more than one chunk) of two passage lengths, and
+        # one whose gold max_len cuts, in shuffled order
+        short, long = tiny_corpus(seed=1, passage_len=8), tiny_corpus(seed=2, passage_len=20)
+        examples = [replace(ex, id=f"{tag}{ex.id}") for tag, ds in (("s", short), ("l", long)) for ex in ds.train]
+        encs = [encode(ex, short.vocab, 20) for ex in examples]
+        usable = [enc for enc in encs if enc.usable]
+        encs = usable[:17] + usable[-16:] + [next(enc for enc in encs if not enc.usable)]
+        encs = [encs[int(i)] for i in np.random.default_rng(0).permutation(len(encs))]
+        assert len({enc.passage_region for enc in encs}) > 1
+        cfg = tiny_config(short, encoder=dict(max_len=20))
+        params = init_params(cfg.encoder, seed=5)
+
+        out = list(decode(params, encs, 7, 4))
+        assert len(out) == len(encs) == 34
+        for enc, (preds, gold) in zip(encs, out):
+            tr = forward(params, enc)
+            ref = topk_spans(tr, enc, 7, 4)
+            assert preds.enc is enc
+            for name in ("starts", "ends", "scores", "log_probs"):
+                assert getattr(preds, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert gold == (gold_scored(tr, enc.gold_in_sequence) if enc.usable else None)
+        assert list(decode(params, [], 7, 4)) == []
+
+    def test_one_shot_inputs_are_read_a_chunk_at_a_time(self):
+        ds = tiny_corpus()
+        cfg = tiny_config(ds)
+        params = init_params(cfg.encoder, seed=5)
+        encs, _ = _encode_usable(cfg, ds.train, ds.vocab)
+        assert len(encs) > DECODE_CHUNK
+        pulled = []
+
+        def stream():
+            for enc in encs:
+                pulled.append(enc.id)
+                yield enc
+
+        out = decode(params, stream(), 3, cfg.max_answer_len)
+        first = next(out)
+        assert len(pulled) == DECODE_CHUNK
+        assert [p.enc.id for p, _ in [first, *out]] == [enc.id for enc in encs]
+        # a one-shot k_list is read once: it both sizes the decode and keys the report
+        report = run_eval(params, cfg, ds.dev, ds.vocab, k_list=(k for k in (1, 3)))
+        assert report.k_list == (1, 3)
+        assert report.topk == run_eval(params, cfg, ds.dev, ds.vocab, k_list=(1, 3)).topk
 
 
 class TestProbe:
