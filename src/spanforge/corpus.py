@@ -97,6 +97,11 @@ class EncodedExample:
     Passage tokens are non-empty and hold no whitespace (construction
     refuses others), so two spans have equal ``normalize``d text exactly when
     their windows of ``passage_keys`` are equal.
+
+    Construction also refuses an attention mask that is not a non-empty
+    prefix of ones and a negative real token id, then keeps ``length`` (the
+    real length) and ``max_token_id`` (the largest real id) and makes both
+    arrays read-only, so a forward checks an encoding only against its vocab.
     """
 
     id: str
@@ -107,11 +112,29 @@ class EncodedExample:
     gold_in_sequence: Span | None
     usable: bool
     passage_tokens: tuple[str, ...]
+    length: int = field(init=False, repr=False, compare=False)
+    max_token_id: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if " ".join(self.passage_tokens).split() != list(self.passage_tokens):
             bad = next(tok for tok in self.passage_tokens if tok.split() != [tok])
             raise CorpusError(f"{self.id}: passage token {bad!r} is empty or holds whitespace")
+        ids = np.array(self.token_ids, dtype=np.int64)
+        mask = np.array(self.attention_mask, dtype=np.int64)
+        if ids.ndim != 1 or mask.shape != ids.shape:
+            raise CorpusError(f"{self.id}: token ids and attention mask must be 1-d and of one length")
+        n = int(np.count_nonzero(mask))
+        if n == 0 or not (mask[:n] == 1).all():
+            raise CorpusError(f"{self.id}: attention mask must be a non-empty prefix of ones")
+        lowest = int(ids[:n].min())
+        if lowest < 0:
+            raise CorpusError(f"{self.id}: negative token id {lowest}")
+        ids.setflags(write=False)
+        mask.setflags(write=False)
+        object.__setattr__(self, "token_ids", ids)
+        object.__setattr__(self, "attention_mask", mask)
+        object.__setattr__(self, "length", n)
+        object.__setattr__(self, "max_token_id", int(ids[:n].max()))
 
     @cached_property
     def passage_keys(self) -> np.ndarray:
@@ -121,9 +144,32 @@ class EncodedExample:
         ids: dict[str, int] = {}
         return np.array([ids.setdefault(tok.lower(), len(ids)) for tok in self.passage_tokens], dtype=np.int64)
 
-    @property
-    def length(self) -> int:
-        return int(self.attention_mask.sum())
+    @cached_property
+    def token_groups(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """The real positions grouped by token id, for the token-embedding
+        gradient; built on first read, which only ``backward`` makes.
+
+        Returns ``(uniq, order, sizes)``. ``uniq`` holds the distinct real ids,
+        the most frequent first. ``order`` lists the real positions rank by
+        rank: each id's first occurrence in ``uniq`` order, then each second
+        occurrence, and so on. Rank r takes the next ``sizes[r]`` entries,
+        which belong to ``uniq[: sizes[r]]``.
+        """
+        where: dict[int, list[int]] = {}
+        for pos, tok in enumerate(self.token_ids[: self.length].tolist()):
+            if tok in where:
+                where[tok].append(pos)
+            else:
+                where[tok] = [pos]
+        groups = sorted(where.values(), key=len, reverse=True)
+        order, sizes = [], []
+        for rank in range(len(groups[0])):
+            while len(groups[-1]) <= rank:
+                groups.pop()
+            order += [positions[rank] for positions in groups]
+            sizes.append(len(groups))
+        order = np.array(order)
+        return self.token_ids[order[: sizes[0]]], order, tuple(sizes)
 
 
 @dataclass(frozen=True)

@@ -118,10 +118,12 @@ def unflatten_params(flat: Vec64, config: EncoderConfig) -> ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Activations cached by forward; sufficient for an exact backward."""
+    """Activations cached by forward; sufficient for an exact backward.
+
+    Each pair of head fields (logits, probs, logprobs) holds the start and
+    end rows of one (2, n) block."""
 
     enc: EncodedExample
-    ids: np.ndarray
     h0: Mat64
     qm: Mat64
     km: Mat64
@@ -144,41 +146,37 @@ class ForwardTrace:
 
 
 def forward(params: ModelParams, enc: EncodedExample) -> ForwardTrace:
-    """Run the encoder over one example and cache everything backward needs."""
-    mask = enc.attention_mask
-    n = int(mask.sum())
-    if n == 0 or not np.all(mask[:n] == 1):
-        raise ValueError(f"{enc.id}: attention mask must be a non-empty prefix of ones")
-    ids = enc.token_ids[:n]
+    """Run the encoder over one example and cache everything backward needs.
+
+    The encoding checked its mask and ids when it was built; forward checks
+    only its largest real id against the vocab."""
+    n = enc.length
     V = params.token_emb.shape[0]
-    if int(ids.max()) >= V:
-        raise ValueError(f"{enc.id}: token id {int(ids.max())} >= vocab size {V}")
+    if enc.max_token_id >= V:
+        raise ValueError(f"{enc.id}: token id {enc.max_token_id} >= vocab size {V}")
     d = params.token_emb.shape[1]
 
-    h0 = params.token_emb[ids] + params.pos_emb[:n]
+    h0 = params.token_emb[enc.token_ids[:n]] + params.pos_emb[:n]
     qm = h0 @ params.wq
     km = h0 @ params.wk
     vm = h0 @ params.wv
-    attn = row_softmax((qm @ km.T) / np.sqrt(d))
+    scores = qm @ km.T
+    scores /= math.sqrt(d)
+    attn = row_softmax(scores)
     h1 = h0 + attn @ vm
     ffn_pre = h1 @ params.w1
     ffn_act = np.maximum(ffn_pre, 0.0)
     h2 = h1 + ffn_act @ params.w2
 
-    logits = h2 @ params.head_w.T + params.head_b
-    start_logits = logits[:, 0].copy()
-    end_logits = logits[:, 1].copy()
+    # Row 0 holds the start head, row 1 the end head; both share the mask.
+    heads = (h2 @ params.head_w.T + params.head_b).T.copy()
     p0, p1 = enc.passage_region
-    region = np.zeros(n, dtype=bool)
-    region[p0 : p1 + 1] = True
-    start_logits[~region] = MASK_VALUE
-    end_logits[~region] = MASK_VALUE
-    start_probs, start_logprobs = masked_softmax(start_logits)
-    end_probs, end_logprobs = masked_softmax(end_logits)
+    heads[:, :p0] = MASK_VALUE
+    heads[:, p1 + 1 :] = MASK_VALUE
+    probs, logprobs = masked_softmax(heads)
 
     return ForwardTrace(
         enc=enc,
-        ids=ids,
         h0=h0,
         qm=qm,
         km=km,
@@ -188,12 +186,12 @@ def forward(params: ModelParams, enc: EncodedExample) -> ForwardTrace:
         ffn_pre=ffn_pre,
         ffn_act=ffn_act,
         token_reprs=h2,
-        start_logits=start_logits,
-        end_logits=end_logits,
-        start_probs=start_probs,
-        end_probs=end_probs,
-        start_logprobs=start_logprobs,
-        end_logprobs=end_logprobs,
+        start_logits=heads[0],
+        end_logits=heads[1],
+        start_probs=probs[0],
+        end_probs=probs[1],
+        start_logprobs=logprobs[0],
+        end_logprobs=logprobs[1],
     )
 
 
@@ -249,12 +247,12 @@ def backward(
         if g_u.shape != (config_k,):
             raise ValueError(f"d_u has shape {g_u.shape}, expected ({config_k},)")
 
-    d_h2 = np.outer(d_sl, params.head_w[0]) + np.outer(d_el, params.head_w[1])
+    d_h2 = d_sl[:, None] * params.head_w[0] + d_el[:, None] * params.head_w[1]
     if upstream.d_token_reprs is not None:
         dtr = np.asarray(upstream.d_token_reprs, dtype=np.float64)
         if dtr.shape != (n, d):
             raise ValueError(f"d_token_reprs has shape {dtr.shape}, expected ({n}, {d})")
-        d_h2 = d_h2 + dtr
+        d_h2 += dtr
     if into is None:
         into = ModelParams(**{f: np.zeros_like(a) for f, a in params.arrays()})
     into.head_w[0] += d_sl @ trace.token_reprs
@@ -273,20 +271,30 @@ def backward(
     d_vm = trace.attn.T @ d_ctx
     row_dot = (d_attn * trace.attn).sum(axis=1, keepdims=True)
     d_scores = trace.attn * (d_attn - row_dot)
-    scale = 1.0 / np.sqrt(d)
+    scale = 1.0 / math.sqrt(d)
     d_qm = (d_scores @ trace.km) * scale
     d_km = (d_scores.T @ trace.qm) * scale
 
     into.wq += trace.h0.T @ d_qm
     into.wk += trace.h0.T @ d_km
     into.wv += trace.h0.T @ d_vm
-    d_h0 = d_h1 + d_qm @ params.wq.T + d_km @ params.wk.T + d_vm @ params.wv.T
+    d_h0 = d_h1  # summed in place, left to right: d_h1 is not read again
+    d_h0 += d_qm @ params.wq.T
+    d_h0 += d_km @ params.wk.T
+    d_h0 += d_vm @ params.wv.T
 
     # Sum each distinct token's rows in sequence order, then add the sums in:
     # the same additions as scattering into a zero (vocab, d) gradient first.
-    uniq, inverse = np.unique(trace.ids, return_inverse=True)
-    block = np.zeros((uniq.size, d))
-    np.add.at(block, inverse, d_h0)
+    # Rank 0 covers every id and starts from zero (0.0 + x is x but for -0.0);
+    # each later rank adds the next occurrence of the ids that have one.
+    uniq, order, sizes = trace.enc.token_groups
+    rows = d_h0[order]
+    block = rows[: sizes[0]]
+    block += 0.0
+    lo = sizes[0]
+    for size in sizes[1:]:
+        block[:size] += rows[lo : lo + size]
+        lo += size
     into.token_emb[uniq] += block
     into.pos_emb[:n] += d_h0
     if g_u is not None:

@@ -47,6 +47,16 @@ def _gather(trace: ForwardTrace, spans: Spans) -> tuple[np.ndarray, np.ndarray, 
     return starts, ends, trace.start_logprobs[starts] + trace.end_logprobs[ends]
 
 
+def _scatter_neg(positions: np.ndarray, weights: Vec64, n: int) -> Vec64:
+    """Length-n vector holding minus the sum of ``weights`` at each position.
+
+    ``bincount`` adds each position's weights in list order from zero, and
+    (0 - a) - b = 0 - (a + b) exactly under round-to-nearest, so this gives
+    the bits of ``np.subtract.at`` on zeros at a fraction of its cost.
+    """
+    return 0.0 - np.bincount(positions, weights=weights, minlength=n)
+
+
 def span_log_prob(trace: ForwardTrace, span: Span) -> float:
     """log P(start = span.start) + log P(end = span.end) under the trace."""
     return float(_gather(trace, [span])[2][0])
@@ -83,12 +93,7 @@ def mml_loss_grads(trace: ForwardTrace, spans: Spans) -> tuple[float, Vec64, Vec
     lse = logsumexp(lps)
     posterior = np.exp(lps - lse)
     n = trace.length
-    d_slp = np.zeros(n)
-    d_elp = np.zeros(n)
-    # subtract.at accumulates repeated positions, in list order
-    np.subtract.at(d_slp, starts, posterior)
-    np.subtract.at(d_elp, ends, posterior)
-    return float(-lse[0]), d_slp, d_elp
+    return float(-lse[0]), _scatter_neg(starts, posterior, n), _scatter_neg(ends, posterior, n)
 
 
 def hard_loss(trace: ForwardTrace, spans: Spans, u: Vec64) -> float:
@@ -106,12 +111,8 @@ def hard_loss_grads(trace: ForwardTrace, spans: Spans, u: Vec64) -> tuple[float,
     ell = -lps
     loss = float((w * ell).sum())
     n = trace.length
-    d_slp = np.zeros(n)
-    d_elp = np.zeros(n)
-    np.subtract.at(d_slp, starts, w)
-    np.subtract.at(d_elp, ends, w)
     d_u = w * (ell - loss)
-    return loss, d_slp, d_elp, d_u
+    return loss, _scatter_neg(starts, w, n), _scatter_neg(ends, w, n), d_u
 
 
 def contrastive_loss_grads(rows: Sequence[np.ndarray], tau: float) -> tuple[float, list[np.ndarray]]:

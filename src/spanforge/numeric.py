@@ -26,14 +26,16 @@ MASK_VALUE = float(np.finfo(np.float64).min)
 def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max m, exp(x - m) and that exponential's sum over the last axis (keepdims)."""
     m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
+    e = x - m
+    np.exp(e, out=e)
     return m, e, e.sum(axis=-1, keepdims=True)
 
 
 def row_softmax(x: np.ndarray) -> np.ndarray:
     """Shift-stable softmax over the last axis, without masking or validation."""
     _, e, s = _shifted_exp(x)
-    return e / s
+    e /= s
+    return e
 
 
 def logsumexp(x: np.ndarray) -> np.ndarray:
@@ -42,27 +44,38 @@ def logsumexp(x: np.ndarray) -> np.ndarray:
     return m + np.log(s)
 
 
-def masked_softmax(v: Vec64) -> tuple[Vec64, Vec64]:
-    """Probabilities and log-probabilities of one vector from one exp pass.
+def masked_softmax(v: Vec64 | Mat64) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and log-probabilities from one exp pass, of one vector
+    or of each row of a 2-d block whose rows are masked at the same positions.
 
     Entries equal to ``MASK_VALUE`` map to probability exactly 0 and
-    log-probability -inf. Refuses a vector that is not 1-d, is empty, holds a
-    non-finite entry or is masked everywhere.
+    log-probability -inf. Only the live entries are summed, so each row of a
+    block gets the same bits as its own 1-d call. Refuses an input that is
+    not 1-d or 2-d, is empty, holds a non-finite entry or is masked
+    everywhere, and a block whose rows are masked at different positions.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("masked_softmax expects a non-empty 1-d vector")
-    if not np.all(np.isfinite(v)):
+    if v.ndim not in (1, 2) or v.size == 0:
+        raise ValueError("masked_softmax expects a non-empty 1-d vector or 2-d block")
+    if not np.isfinite(v).all():
         raise ValueError("masked_softmax input must be finite (MASK_VALUE is the only sentinel)")
     live = v != MASK_VALUE
+    if v.ndim == 2:
+        if (live != live[0]).any():
+            raise ValueError("masked_softmax block rows must be masked at the same positions")
+        live = live[0]
     if not live.any():
         raise ValueError("masked_softmax over an all-masked vector is degenerate")
-    x = v[live]
-    m, e, s = _shifted_exp(x)
-    probs = np.zeros_like(v)
-    probs[live] = e / s
-    logprobs = np.full(v.shape, -np.inf)
-    logprobs[live] = x - (m + np.log(s))
+    # MASK_VALUE is the least finite double, so the row max is the live max
+    # and a masked entry's exp underflows to exactly 0. The sum must skip
+    # those zeros: they would move the live entries within the pairwise sum.
+    m = v.max(axis=-1, keepdims=True)
+    probs = v - m
+    np.exp(probs, out=probs)
+    s = probs.compress(live, axis=-1).sum(axis=-1, keepdims=True)
+    probs /= s
+    logprobs = v - (m + np.log(s))
+    logprobs[..., ~live] = -np.inf
     return probs, logprobs
 
 

@@ -44,7 +44,6 @@ def fake_trace(enc, start_region_logits, end_region_logits, d_model=4):
     end_probs, end_logprobs = masked_softmax(el)
     return ForwardTrace(
         enc=enc,
-        ids=enc.token_ids[:n],
         h0=zeros,
         qm=zeros,
         km=zeros,

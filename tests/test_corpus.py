@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -261,6 +263,41 @@ class TestEncode:
         keys_equal = len(a) == len(b) and keys[: len(a)].tolist() == keys[len(a) :].tolist()
         assert keys_equal == (normalize(" ".join(a)) == normalize(" ".join(b)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q_len=st.integers(0, 3),
+        p_len=st.integers(1, 6),
+        slack=st.sampled_from([-1, 0, 1]),
+        question_max_len=st.sampled_from([0, 64]),
+        data=st.data(),
+    )
+    def test_edge_lengths(self, q_len, p_len, slack, question_max_len, data):
+        # max_len one below, at and one above what the kept question and the
+        # whole passage need: the passage loses its last token, fits, or pads
+        start = data.draw(st.integers(0, p_len - 1))
+        end = data.draw(st.integers(start, p_len - 1))
+        passage = tuple("abc"[i % 3] for i in range(p_len))
+        gold = Span(start, end, " ".join(passage[start : end + 1]))
+        ex = Example(id="edge", question=("a",) * q_len, passage=passage, gold=gold)
+        kept_q = min(q_len, question_max_len)
+        max_len = kept_q + p_len + 3 + slack
+        if max_len - kept_q - 3 < 1:
+            with pytest.raises(CorpusError, match="max_len"):
+                encode(ex, tiny_vocab(), max_len, question_max_len)
+            return
+        enc = encode(ex, tiny_vocab(), max_len, question_max_len)
+        kept_p = min(p_len, max_len - kept_q - 3)
+        assert enc.length == int(enc.attention_mask.sum()) == kept_q + kept_p + 3 <= max_len
+        (q0, q1), (p0, p1) = enc.question_region, enc.passage_region
+        assert (q0, q1 - q0 + 1) == (1, kept_q)
+        assert (p0, p1 - p0 + 1) == (kept_q + 2, kept_p)
+        assert 0 < q0 and q1 < p0 <= p1 < enc.length - 1
+        assert enc.usable == (end < kept_p)
+        if enc.usable:
+            assert p0 <= enc.gold_in_sequence.start <= enc.gold_in_sequence.end <= p1
+        else:
+            assert enc.gold_in_sequence is None
+
     def test_roundtrip_over_generated_corpus(self):
         ds = generate_corpus(small_spec(num_examples=120, num_dev=10, num_test=10))
         for ex in ds.train:
@@ -271,6 +308,50 @@ class TestEncode:
             assert enc.gold_in_sequence.text == ex.gold.text
             p0, p1 = enc.passage_region
             assert p0 <= enc.gold_in_sequence.start <= enc.gold_in_sequence.end <= p1
+
+
+class TestEncodedExample:
+    def _enc(self):
+        ex = Example(id="m9", question=("a",), passage=("b", "c"), gold=Span(1, 1, "c"))
+        return encode(ex, tiny_vocab(), max_len=8)
+
+    def test_keeps_length_and_largest_id(self):
+        enc = self._enc()
+        assert (enc.length, enc.max_token_id) == (6, 6)
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 1, 1, 1, 1, 1, 0, 0],
+            [1, 1, 0, 1, 1, 0, 0, 0],
+            [1, 1, 1, 1, 1, 1, 0, 1],
+            [1, 1, 1, 1, 1, 2, 0, 0],
+            [1, 1, 1, 1, -1, 1, 0, 0],
+        ],
+    )
+    def test_mask_not_a_prefix_of_ones_refused(self, mask):
+        with pytest.raises(CorpusError, match="m9: attention mask must be a non-empty prefix of ones"):
+            replace(self._enc(), attention_mask=np.array(mask))
+
+    def test_mask_of_another_length_refused(self):
+        with pytest.raises(CorpusError, match="m9: .* of one length"):
+            replace(self._enc(), attention_mask=np.ones(7, dtype=np.int64))
+
+    def test_negative_real_id_refused(self):
+        with pytest.raises(CorpusError, match="m9: negative token id -2"):
+            replace(self._enc(), token_ids=np.array([2, 4, 3, -2, 6, 3, 0, 0]))
+
+    def test_arrays_are_read_only_copies(self):
+        enc = self._enc()
+        with pytest.raises(ValueError, match="read-only"):
+            enc.token_ids[1] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            enc.attention_mask[7] = 1
+        ids = enc.token_ids.copy()
+        kept = replace(enc, token_ids=ids)
+        ids[4] = 99
+        assert kept.token_ids.tolist() == enc.token_ids.tolist() and kept.max_token_id == 6
 
 
 class TestVocab:

@@ -138,6 +138,17 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(small, tiny_enc())
 
+    def test_id_out_of_range_rejected_after_a_larger_vocab(self):
+        # the encoding keeps its largest id, so each forward checks it anew
+        cfg = tiny_config()
+        params = init_params(cfg, seed=0)
+        enc = tiny_enc(p=("t1", "t7", "t3"), gold=(0, 0))
+        forward(params, enc)
+        small = params.copy()
+        small.token_emb = params.token_emb[: enc.max_token_id]
+        with pytest.raises(ValueError, match=f"x: token id {enc.max_token_id} >= vocab size {enc.max_token_id}"):
+            forward(small, enc)
+
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
@@ -162,6 +173,30 @@ class TestBackward:
                 arr_total += arr
             assert backward(params, tr, up, into=buffer) is buffer
         np.testing.assert_array_equal(flatten_params(buffer), flatten_params(total))
+
+    def test_token_emb_bytes_equal_unique_and_add_at(self):
+        # t1 occurs 5 times and [SEP] twice in the first encoding; two
+        # examples accumulate through one buffer. The reference scatters each
+        # example's d_h0 (its pos_emb gradient) with np.unique and np.add.at.
+        cfg = tiny_config()
+        params = init_params(cfg, seed=11)
+        rng = np.random.default_rng(11)
+        buffer = zero_params(cfg)
+        reference = np.zeros_like(params.token_emb)
+        for q, p in [(("t1",), ("t1", "t2", "t1", "t1", "t3", "t1")), (("t4",), ("t3", "t3", "t2", "t4", "t3", "t3"))]:
+            enc = encode(tiny_example(q=q, p=p, gold=(0, 1)), VOCAB, max_len=14)
+            tr = forward(params, enc)
+            n = tr.length
+            counts = np.bincount(enc.token_ids[:n])
+            assert counts.max() >= 4 and counts[VOCAB.id("[SEP]")] == 2
+            up = UpstreamGrads(rng.normal(size=n), rng.normal(size=n), rng.normal(size=(n, 6)))
+            d_h0 = backward(params, tr, up).pos_emb[:n]
+            uniq, inverse = np.unique(enc.token_ids[:n], return_inverse=True)
+            block = np.zeros((uniq.size, cfg.d_model))
+            np.add.at(block, inverse, d_h0)
+            reference[uniq] += block
+            backward(params, tr, up, into=buffer)
+        assert buffer.token_emb.tobytes() == reference.tobytes()
 
     def test_shape_mismatch_rejected(self):
         params = init_params(tiny_config(), seed=0)

@@ -225,6 +225,34 @@ class TestSpanGatherBitwise:
         np.testing.assert_array_equal(d_slp, ref_slp)
         np.testing.assert_array_equal(d_elp, ref_elp)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scatter_bytes_equal_subtract_at(self, seed):
+        # 40 candidates over a 5-token passage repeat each position many
+        # times; the gradients must keep the bytes of np.subtract.at on zeros
+        enc = make_enc([f"p{i}" for i in range(5)])
+        rng = np.random.default_rng(seed)
+        tr = fake_trace(enc, rng.normal(size=5), rng.normal(size=5))
+        ends = rng.integers(0, 5, size=40)
+        z = [region_span(enc, int(rng.integers(0, j + 1)), int(j)) for j in ends]
+        u = rng.normal(size=len(z)) * 3
+        e = np.exp(u - u.max())
+        w = e / e.sum()
+        starts = np.array([s.start for s in z])
+        stops = np.array([s.end for s in z])
+
+        def subtract_at(positions, weights):
+            out = np.zeros(tr.length)
+            np.subtract.at(out, positions, weights)
+            return out.tobytes()
+
+        _, d_slp, d_elp, _ = hard_loss_grads(tr, z, u)
+        assert (d_slp.tobytes(), d_elp.tobytes()) == (subtract_at(starts, w), subtract_at(stops, w))
+        lps = tr.start_logprobs[starts] + tr.end_logprobs[stops]
+        m = lps.max()
+        posterior = np.exp(lps - (m + np.log(np.exp(lps - m).sum())))
+        _, d_slp, d_elp = mml_loss_grads(tr, z)
+        assert (d_slp.tobytes(), d_elp.tobytes()) == (subtract_at(starts, posterior), subtract_at(stops, posterior))
+
     def test_out_of_region_candidate_rejected(self, enc4):
         z = [region_span(enc4, 0, 0), Span(0, 0, "[CLS]")]
         with pytest.raises(ValueError):

@@ -47,7 +47,9 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             masked_softmax(np.array([]))
         with pytest.raises(ValueError):
-            masked_softmax(np.zeros((2, 2)))
+            masked_softmax(np.zeros((2, 0)))
+        with pytest.raises(ValueError):
+            masked_softmax(np.zeros((2, 2, 2)))
 
     def test_all_masked_rejected(self):
         with pytest.raises(ValueError):
@@ -58,6 +60,14 @@ class TestSoftmax:
             masked_softmax(np.array([0.0, np.inf]))
         with pytest.raises(ValueError):
             masked_softmax(np.array([0.0, np.nan]))
+
+    def test_block_rows_must_share_the_mask(self):
+        with pytest.raises(ValueError, match="same positions"):
+            masked_softmax(np.array([[0.0, MASK_VALUE], [MASK_VALUE, 0.0]]))
+        with pytest.raises(ValueError, match="all-masked"):
+            masked_softmax(np.full((2, 3), MASK_VALUE))
+        with pytest.raises(ValueError, match="finite"):
+            masked_softmax(np.array([[0.0, 1.0], [0.0, -np.inf]]))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
@@ -156,6 +166,18 @@ class TestAgainstReplacedFormulas:
         p, lp = masked_softmax(v)
         assert_bitwise(p, reference_softmax(v))
         assert_bitwise(lp, reference_masked_log_softmax(v))
+
+    @given(HEAD, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_masked_softmax_block_rows(self, vals, data):
+        # a second row, masked where the first is, gets its own 1-d bits
+        v = np.array(vals)
+        other = np.array(data.draw(st.lists(st.one_of(LARGE, st.floats(-3, 3)), min_size=v.size, max_size=v.size)))
+        block = np.stack([v, np.where(v == MASK_VALUE, MASK_VALUE, other)])
+        p, lp = masked_softmax(block)
+        for row, p_row, lp_row in zip(block, p, lp):
+            assert_bitwise(p_row, reference_softmax(row))
+            assert_bitwise(lp_row, reference_masked_log_softmax(row))
 
     @given(MATRIX)
     @settings(max_examples=100, deadline=None)
