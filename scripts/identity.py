@@ -18,8 +18,11 @@ the default config, with ``z_refresh_every`` and ``z_match=text``, and with
 and, through the API, ``run_eval`` and ``collect_candidates`` on a
 ``max_len`` that cuts more golds. The passage outgrows ``max_len``, so
 training skips an example whose gold is cut and evaluation scores one, and
-the train split spans three 32-example decoding chunks. Each command's
-stdout is kept as a file too. A run takes a few seconds.
+the train split spans three 32-example decoding chunks. A last API case runs
+both on one ragged 32-example chunk: passages of 24 to 120 tokens beside one
+of 2 tokens, whose 3 legal spans are fewer than the eval k of 10, so top-k
+selection keeps whole rows and pads. Each command's stdout is kept as a file
+too. A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from spanforge.cli import run
-from spanforge.corpus import Dataset
-from spanforge.encoder import load_checkpoint
+from spanforge.corpus import CorpusSpec, Dataset, DistractorPolicy, generate_corpus
+from spanforge.encoder import EncoderConfig, init_params, load_checkpoint
+from spanforge.losses import LossConfig
 from spanforge.trainer import TrainConfig, collect_candidates, run_eval
 
 CORPUS_CFG = """\
@@ -137,6 +141,25 @@ def api_calls(root: Path) -> None:
     out.mkdir()
     run_eval(params, cfg, ds.train, ds.vocab, k_list=(1, 3, 7)).save_json(out / "eval_train.json")
     collect_candidates(params, cfg, ds.train, ds.vocab, out / "candidates.jsonl")
+    ragged_chunk(out)
+
+
+def ragged_chunk(out: Path) -> None:
+    """run_eval and collect_candidates on one chunk of ragged passages, one
+    of them with fewer legal spans than the eval k."""
+    by_len = []
+    for plen in (24, 48, 72, 96, 120):
+        ds = generate_corpus(CorpusSpec(vocab_size=60, num_examples=9, passage_len=plen, seed=plen, num_dev=1, num_test=1))
+        by_len.append([replace(ex, id=f"p{plen}-{ex.id}") for ex in ds.train])
+    examples = [ex for same_rank in zip(*by_len) for ex in same_rank]  # lengths 24, 48, ..., 120, 24, ...
+    tiny = CorpusSpec(vocab_size=60, num_examples=3, passage_len=2, answer_len_range=(1, 1),
+                      distractors=DistractorPolicy(0, 0, 0), seed=2, num_dev=1, num_test=1)
+    chunk = [replace(ex, id=f"p2-{ex.id}") for ex in generate_corpus(tiny).train] + examples[:31]
+    enc_cfg = EncoderConfig(vocab_size=len(ds.vocab), d_model=8, d_ff=12, max_len=128)
+    cfg = TrainConfig(encoder=enc_cfg, loss=LossConfig(k_frozen=3), max_answer_len=4)
+    params = init_params(enc_cfg, seed=3)
+    run_eval(params, cfg, chunk, ds.vocab).save_json(out / "eval_ragged.json")
+    collect_candidates(params, cfg, chunk, ds.vocab, out / "candidates_ragged.jsonl")
 
 
 def manifest(root: Path) -> dict[str, dict]:

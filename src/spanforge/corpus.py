@@ -18,11 +18,14 @@ suffix guarantee collapses into it.
 from __future__ import annotations
 
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,6 +89,9 @@ class Example:
             raise ValueError(f"{self.id}: gold text {self.gold.text!r} != passage slice {resolved!r}")
 
 
+_INT64_ONE = np.int64(1).tobytes()  # an attention mask's prefix is this, n times
+
+
 @dataclass(frozen=True)
 class EncodedExample:
     """[CLS] question [SEP] passage [SEP] layout, padded to max_len.
@@ -124,9 +130,10 @@ class EncodedExample:
         if ids.ndim != 1 or mask.shape != ids.shape:
             raise CorpusError(f"{self.id}: token ids and attention mask must be 1-d and of one length")
         n = int(np.count_nonzero(mask))
-        if n == 0 or not (mask[:n] == 1).all():
+        if n == 0 or mask[:n].tobytes() != _INT64_ONE * n:
             raise CorpusError(f"{self.id}: attention mask must be a non-empty prefix of ones")
-        lowest = int(ids[:n].min())
+        real = ids[:n]
+        lowest = int(np.minimum.reduce(real))
         if lowest < 0:
             raise CorpusError(f"{self.id}: negative token id {lowest}")
         ids.setflags(write=False)
@@ -134,7 +141,7 @@ class EncodedExample:
         object.__setattr__(self, "token_ids", ids)
         object.__setattr__(self, "attention_mask", mask)
         object.__setattr__(self, "length", n)
-        object.__setattr__(self, "max_token_id", int(ids[:n].max()))
+        object.__setattr__(self, "max_token_id", int(np.maximum.reduce(real)))
 
     @cached_property
     def passage_keys(self) -> np.ndarray:
@@ -227,6 +234,10 @@ class Vocab:
 
     def id(self, token: str) -> int:
         return self._index.get(token, UNK_ID)
+
+    def ids(self, tokens: Iterable[str]) -> list[int]:
+        """``id`` of each token, in order."""
+        return list(map(self._index.get, tokens, repeat(UNK_ID)))
 
     def token(self, idx: int) -> str:
         return self._tokens[idx]
@@ -401,6 +412,26 @@ def write_examples_jsonl(path: str | Path, examples: Iterable[Example]) -> None:
             fh.write(json.dumps(example_to_dict(ex)) + "\n")
 
 
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w", **open_args) -> Iterator[IO]:
+    """A file opened for writing (``mode`` "w" or "wb") in place of ``path``.
+
+    The bytes go to a temporary file beside ``path``, which replaces ``path``
+    (``os.replace``) only when the block exits cleanly. If the block raises,
+    the temporary file is removed and ``path`` keeps its old contents, or stays
+    absent.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def read_jsonl(path: str | Path, what: str, error: type[ValueError] = ValueError) -> Iterator[tuple[str, object]]:
     """("path:line", value) for each non-blank line of a JSON Lines file;
     refuses a line that is not JSON with ``error`` naming the path and line."""
@@ -503,12 +534,13 @@ def encode(example: Example, vocab: Vocab, max_len: int, question_max_len: int =
             f"max_len={max_len} cannot hold the specials plus one passage token "
             f"(question length {len(q)})"
         )
-    p = list(example.passage[:budget])
+    p = example.passage[:budget]
 
-    ids = [CLS_ID] + [vocab.id(t) for t in q] + [SEP_ID] + [vocab.id(t) for t in p] + [SEP_ID]
-    real = len(ids)
-    ids = ids + [PAD_ID] * (max_len - real)
-    mask = [1] * real + [0] * (max_len - real)
+    real = len(q) + len(p) + 3
+    ids = np.full(max_len, PAD_ID, dtype=np.int64)
+    ids[:real] = [CLS_ID, *vocab.ids(q), SEP_ID, *vocab.ids(p), SEP_ID]
+    mask = np.zeros(max_len, dtype=np.int64)
+    mask[:real] = 1
 
     q_region = (1, len(q))  # first > last when the question is empty
     p_first = len(q) + 2
@@ -521,13 +553,13 @@ def encode(example: Example, vocab: Vocab, max_len: int, question_max_len: int =
 
     return EncodedExample(
         id=example.id,
-        token_ids=np.asarray(ids, dtype=np.int64),
-        attention_mask=np.asarray(mask, dtype=np.int64),
+        token_ids=ids,
+        attention_mask=mask,
         question_region=q_region,
         passage_region=p_region,
         gold_in_sequence=gold_seq,
         usable=usable,
-        passage_tokens=tuple(p),
+        passage_tokens=p,
     )
 
 

@@ -3,9 +3,9 @@ residual self-attention block, a residual ReLU feed-forward, and a linear
 start/end head, all in float64 with hand-derived exact backward passes.
 
 The forward runs over the real (unpadded) prefix of the sequence, which is
-equivalent to masking padded positions out of attention. Start/end logits are
-set to the mask sentinel outside the passage region before any softmax, so no
-probability mass ever lands on question or special tokens.
+equivalent to masking padded positions out of attention. The start/end
+softmax runs over the passage region only, so no probability mass ever lands
+on question or special tokens; the logits outside it hold the mask sentinel.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import EncodedExample, Span, SpanIndex
-from .numeric import MASK_VALUE, Mat64, Vec64, masked_softmax, pooling_matrix, row_softmax
+from .corpus import EncodedExample, Span, SpanIndex, atomic_write
+from .numeric import MASK_VALUE, Mat64, Vec64, pooling_matrix, region_softmax, row_softmax
 
 
 @dataclass(frozen=True)
@@ -163,17 +163,21 @@ def forward(params: ModelParams, enc: EncodedExample) -> ForwardTrace:
     scores = qm @ km.T
     scores /= math.sqrt(d)
     attn = row_softmax(scores)
-    h1 = h0 + attn @ vm
+    # Residual sums added into the product in place (addition commutes, so
+    # the bits are those of h0 + attn @ vm).
+    h1 = attn @ vm
+    h1 += h0
     ffn_pre = h1 @ params.w1
     ffn_act = np.maximum(ffn_pre, 0.0)
-    h2 = h1 + ffn_act @ params.w2
+    h2 = ffn_act @ params.w2
+    h2 += h1
 
-    # Row 0 holds the start head, row 1 the end head; both share the mask.
+    # Row 0 holds the start head, row 1 the end head; both share the region.
     heads = (h2 @ params.head_w.T + params.head_b).T.copy()
     p0, p1 = enc.passage_region
+    probs, logprobs = region_softmax(heads, p0, p1)
     heads[:, :p0] = MASK_VALUE
     heads[:, p1 + 1 :] = MASK_VALUE
-    probs, logprobs = masked_softmax(heads)
 
     return ForwardTrace(
         enc=enc,
@@ -230,6 +234,7 @@ def backward(
     n = trace.length
     d = params.token_emb.shape[1]
     config_k = params.u.shape[0]
+    p0, p1 = trace.enc.passage_region
 
     def _vec(g, name):
         if g is None:
@@ -237,6 +242,13 @@ def backward(
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (n,):
             raise ValueError(f"{name} has shape {g.shape}, expected ({n},)")
+        # The log-probability is -inf outside the passage region, so no finite
+        # objective has a gradient there.
+        if np.count_nonzero(g[:p0]) or np.count_nonzero(g[p1 + 1 :]):
+            pos = next(i for i in np.flatnonzero(g).tolist() if not p0 <= i <= p1)
+            raise ValueError(
+                f"{trace.enc.id}: {name} is {g[pos]} at position {pos}, outside the passage region ({p0}, {p1})"
+            )
         return g
 
     d_sl = _logprob_to_logit_grad(_vec(upstream.d_start_logprob, "d_start_logprob"), trace.start_probs)
@@ -343,14 +355,14 @@ def save_checkpoint(path: str | Path, config: EncoderConfig, params: ModelParams
     """Write magic + one JSON header line + little-endian float64 blobs.
 
     Field order is PARAM_FIELDS; byte output is a pure function of
-    (config, params).
+    (config, params). The file is replaced whole, or not at all.
     """
     header = {
         "config": asdict(config),
         "fields": [{"name": name, "shape": list(shape)} for name, shape in param_shapes(config)],
         "dtype": "<f8",
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for name in PARAM_FIELDS:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Example
+from .corpus import Example, atomic_write
 
 _PUNCT = set(string.punctuation)
 _ARTICLES = {"a", "an", "the"}
@@ -38,8 +38,13 @@ def exact_match(pred: str, gold: str, squad_style: bool = False) -> int:
 
 def f1_overlap(pred: str, gold: str, squad_style: bool = False) -> float:
     """Token-multiset overlap F1; 1.0 when both normalize to empty."""
-    p_toks = normalize(pred, squad_style).split()
-    g_toks = normalize(gold, squad_style).split()
+    return _normalized_f1(normalize(pred, squad_style), normalize(gold, squad_style))
+
+
+def _normalized_f1(pred: str, gold: str) -> float:
+    """``f1_overlap`` of two texts that are already normalized."""
+    p_toks = pred.split()
+    g_toks = gold.split()
     if not p_toks and not g_toks:
         return 1.0
     overlap = sum((Counter(p_toks) & Counter(g_toks)).values())
@@ -72,13 +77,13 @@ class EvalReport:
         }
 
     def save_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(path, encoding="utf-8", newline="\n") as fh:
             json.dump(self.to_json(), fh)
             fh.write("\n")
 
     def save_csv(self, path: str | Path) -> None:
         """Aggregate CSV, one row per k: columns k, em, f1."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(path, encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["k", "em", "f1"])
             for k in self.k_list:
@@ -108,20 +113,30 @@ def evaluate(
     """EM/F1 of each example's top prediction and its top-k EM, aggregated.
     ``ranked_texts`` holds each example's prediction texts, best first (kept
     whole as ``top_preds``); a count unequal to the examples' is refused.
-    ``k_list`` is checked before either iterable is read."""
+    ``k_list`` is checked before either iterable is read.
+
+    The same figures as ``exact_match``, ``f1_overlap`` and ``topk_em``, with
+    each text normalized once: the gold, the top prediction, and the next
+    ones up to the first that matches the gold, within max(k_list)."""
     k_list = tuple(k_list)
     if not k_list or min(k_list) < 1:
         raise ValueError("k_list must contain positive ks")
+    top = max(k_list)
     records = []
     for ex, texts in zip(examples, ranked_texts, strict=True):
-        top1 = texts[0] if texts else ""
+        gold = normalize(ex.gold.text, squad_style)
+        top1 = normalize(texts[0], squad_style) if texts else ""
+        # rank (0-based) of the first match among the top max(k_list) texts
+        hit = 0 if texts and top1 == gold else next(
+            (r for r in range(1, min(top, len(texts))) if normalize(texts[r], squad_style) == gold), top
+        )
         rec = {
             "id": ex.id,
             "top_preds": texts,
             "gold": ex.gold.text,
-            "em": exact_match(top1, ex.gold.text, squad_style),
-            "f1": f1_overlap(top1, ex.gold.text, squad_style),
-            "topk_em": {str(k): topk_em(texts, ex.gold.text, k, squad_style) for k in k_list},
+            "em": int(top1 == gold),
+            "f1": _normalized_f1(top1, gold),
+            "topk_em": {str(k): int(hit < k) for k in k_list},
         }
         records.append(rec)
     if not records:

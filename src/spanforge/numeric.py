@@ -17,9 +17,9 @@ import numpy as np
 Vec64 = np.ndarray
 Mat64 = np.ndarray
 
-# Positions excluded from a distribution carry this value before softmax.
-# Most-negative finite double: it passes finiteness checks, and softmax maps
-# it to exactly 0. One sentinel serves both padding and region masking.
+# Head logits outside the passage region carry this value. Most-negative
+# finite double: it passes finiteness checks, and no softmax reads it
+# (region_softmax reads only the region).
 MASK_VALUE = float(np.finfo(np.float64).min)
 
 
@@ -44,38 +44,26 @@ def logsumexp(x: np.ndarray) -> np.ndarray:
     return m + np.log(s)
 
 
-def masked_softmax(v: Vec64 | Mat64) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and log-probabilities from one exp pass, of one vector
-    or of each row of a 2-d block whose rows are masked at the same positions.
+def region_softmax(heads: Vec64 | Mat64, p0: int, p1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and log-probabilities over the entries ``p0..p1`` of one
+    vector, or of each row of a 2-d block, from one exp pass.
 
-    Entries equal to ``MASK_VALUE`` map to probability exactly 0 and
-    log-probability -inf. Only the live entries are summed, so each row of a
-    block gets the same bits as its own 1-d call. Refuses an input that is
-    not 1-d or 2-d, is empty, holds a non-finite entry or is masked
-    everywhere, and a block whose rows are masked at different positions.
+    Entries outside the region get probability exactly 0 and log-probability
+    -inf, whatever they hold. Only the region is read, so each row of a block
+    gets the same bits as its own 1-d call. Refuses a region that is empty or
+    reaches outside the last axis, and a non-finite entry inside it.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2) or v.size == 0:
-        raise ValueError("masked_softmax expects a non-empty 1-d vector or 2-d block")
-    if not np.isfinite(v).all():
-        raise ValueError("masked_softmax input must be finite (MASK_VALUE is the only sentinel)")
-    live = v != MASK_VALUE
-    if v.ndim == 2:
-        if (live != live[0]).any():
-            raise ValueError("masked_softmax block rows must be masked at the same positions")
-        live = live[0]
-    if not live.any():
-        raise ValueError("masked_softmax over an all-masked vector is degenerate")
-    # MASK_VALUE is the least finite double, so the row max is the live max
-    # and a masked entry's exp underflows to exactly 0. The sum must skip
-    # those zeros: they would move the live entries within the pairwise sum.
-    m = v.max(axis=-1, keepdims=True)
-    probs = v - m
-    np.exp(probs, out=probs)
-    s = probs.compress(live, axis=-1).sum(axis=-1, keepdims=True)
-    probs /= s
-    logprobs = v - (m + np.log(s))
-    logprobs[..., ~live] = -np.inf
+    n = heads.shape[-1]
+    if not 0 <= p0 <= p1 < n:
+        raise ValueError(f"region_softmax region ({p0}, {p1}) is empty or outside [0, {n})")
+    live = heads[..., p0 : p1 + 1]
+    if not np.isfinite(live).all():
+        raise ValueError("region_softmax input must be finite inside the region")
+    m, e, s = _shifted_exp(live)
+    probs = np.zeros(heads.shape)
+    np.divide(e, s, out=probs[..., p0 : p1 + 1])
+    logprobs = np.full(heads.shape, -np.inf)
+    np.subtract(live, m + np.log(s), out=logprobs[..., p0 : p1 + 1])
     return probs, logprobs
 
 

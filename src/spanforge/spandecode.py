@@ -17,8 +17,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import EncodedExample, Span, SpanIndex, read_jsonl, span_text
+from .corpus import EncodedExample, Span, SpanIndex, atomic_write, read_jsonl, span_text
 from .encoder import ForwardTrace
 
 
@@ -89,9 +90,10 @@ def _check_decode_args(enc: EncodedExample, k: int, max_answer_len: int) -> tupl
     return p0, p1
 
 
-def candidate_count(passage_len: int, max_answer_len: int) -> int:
-    """Number of legal spans for a given passage length and length cap."""
-    cap = min(max_answer_len, passage_len)
+def candidate_count(passage_len, max_answer_len: int):
+    """Number of legal spans for a given passage length (an int, or an int
+    array for one count each) and length cap."""
+    cap = np.minimum(max_answer_len, passage_len)
     return cap * passage_len - cap * (cap - 1) // 2
 
 
@@ -105,48 +107,110 @@ def topk_batch(
     Legal means start <= end, length <= max_answer_len, both ends inside the
     example's passage region. Ties break by (start asc, end asc). Returns
     (starts, ends, scores, counts): row b of the (B, kk) arrays holds
-    example b's counts[b] = min(k, legal spans) ranked spans, then padding;
-    kk is the largest count.
+    example b's counts[b] = min(k, legal spans) ranked spans, then padding
+    (score -inf, in index order); kk is the largest count. Refuses a
+    non-finite logit inside a region, naming the example.
 
     One banded (B, n, width) score tensor, entry (b, i, w) for the span
-    (i, i + w), flattened per row in (start, end) order, so a stable argsort
-    of the negated scores applies the tie rule.
+    (i, i + w), flattened per row in (start, end) order, so ordering by
+    (value, flat index) applies the tie rule. A partition finds each row's
+    kk-th best score; only the entries at least that good (ties included)
+    are sorted.
     """
     regions = [_check_decode_args(enc, k, max_answer_len) for enc in encs]
     lo = min(a for a, _ in regions)  # column j of the band is position lo + j
     n = max(z for _, z in regions) + 1 - lo
     width = min(max_answer_len, max(z - a for a, z in regions) + 1)
     B = len(encs)
-    # Region logits, zero elsewhere: no sum below touches MASK_VALUE.
     starts_in = np.zeros((B, n))
     ends_in = np.zeros((B, n + width - 1))
     for b, (sl, el, (a, z)) in enumerate(zip(start_logits, end_logits, regions)):
         starts_in[b, a - lo : z - lo + 1] = sl[a : z + 1]
         ends_in[b, a - lo : z - lo + 1] = el[a : z + 1]
-    ends = np.arange(n)[:, None] + np.arange(width)
-    band = starts_in[:, :, None] + ends_in[:, ends]
-    bounds = np.array(regions)[:, :, None, None] - lo
-    band[(ends[:, :1] < bounds[:, 0]) | (ends > bounds[:, 1])] = -np.inf
-    counts = np.array([min(k, candidate_count(z - a + 1, max_answer_len)) for a, z in regions])
-    flat = band.reshape(B, -1)
-    order = np.argsort(-flat, axis=1, kind="stable")[:, : counts.max()]
-    starts = order // width
-    scores = flat[np.arange(B)[:, None], order]
-    return starts + lo, starts + order % width + lo, scores, counts
+    finite = np.isfinite(starts_in).all(axis=1) & np.isfinite(ends_in).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{encs[int(np.argmin(finite))].id}: non-finite start or end logit in the passage region")
+    # -inf outside each region, so exactly the illegal spans sum to -inf.
+    first, last = (np.array(regions) - lo).T[:, :, None]
+    for heads in (starts_in, ends_in):
+        cols = np.arange(heads.shape[1])
+        heads[(cols < first) | (cols > last)] = -np.inf
+    neg = starts_in[:, :, None] + sliding_window_view(ends_in, width, axis=1)
+    np.negative(neg, out=neg)
+    counts = np.minimum(k, candidate_count(last[:, 0] - first[:, 0] + 1, max_answer_len))
+    kk = int(counts.max())
+    flat = neg.reshape(B, -1)
+    # A row with fewer than kk legal spans has +inf as its kk-th value, so it
+    # keeps every entry and its padding comes out in index order.
+    cut = np.partition(flat, kk - 1, axis=1)[:, kk - 1 : kk]
+    rows, cols = np.divmod(np.flatnonzero(flat <= cut), flat.shape[1])
+    # lexsort is stable and flatnonzero lists each row's entries in index
+    # order, so ties keep it.
+    order = np.lexsort((flat[rows, cols], rows))
+    kept = np.bincount(rows, minlength=B)
+    picked = cols[order[(np.cumsum(kept) - kept)[:, None] + np.arange(kk)]]
+    starts = picked // width
+    scores = -flat[np.arange(B)[:, None], picked]
+    return starts + lo, starts + picked % width + lo, scores, counts
+
+
+@dataclass(frozen=True, eq=False)
+class RankedBatch:
+    """Ranked candidate spans of a batch of examples: row b of the (B, K)
+    arrays holds example b's ``counts[b]`` spans, best first, then padding
+    (score and log-probability -inf). ``encs[b]`` is the example row b
+    indexes (None when its text is never read)."""
+
+    encs: Sequence[EncodedExample | None]
+    starts: np.ndarray
+    ends: np.ndarray
+    scores: np.ndarray
+    log_probs: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of_set(cls, preds: PredictionSet) -> "RankedBatch":
+        """One prediction set as a batch of one row."""
+        rows = (a[None] for a in (preds.starts, preds.ends, preds.scores, preds.log_probs))
+        return cls([preds.enc], *rows, np.array([len(preds)]))
+
+    def row(self, b: int) -> PredictionSet:
+        """Row b as example b's PredictionSet (views of the batch's arrays)."""
+        m = int(self.counts[b])
+        return PredictionSet(
+            self.starts[b, :m], self.ends[b, :m], self.scores[b, :m], self.log_probs[b, :m], self.encs[b]
+        )
+
+
+def rank_batch(heads: Sequence[tuple], encs: Sequence[EncodedExample], k: int, max_answer_len: int) -> RankedBatch:
+    """``topk_batch`` with each span's log-probability; ``heads[b]`` holds
+    example b's start logits, end logits, start log-probs and end log-probs."""
+    start_logits, end_logits, start_logprobs, end_logprobs = zip(*heads)
+    starts, ends, scores, counts = topk_batch(start_logits, end_logits, encs, k, max_answer_len)
+    # One gather over the concatenated vectors; a padding entry may point past
+    # its row, so it reads the row's position 0 and is then set to -inf.
+    offsets = np.cumsum([0, *(len(v) for v in start_logprobs[:-1])])[:, None]
+    live = np.arange(starts.shape[1]) < counts[:, None]
+    at_start = np.where(live, starts, 0) + offsets
+    at_end = np.where(live, ends, 0) + offsets
+    log_probs = np.concatenate(start_logprobs)[at_start] + np.concatenate(end_logprobs)[at_end]
+    log_probs[~live] = -np.inf
+    return RankedBatch(encs, starts, ends, scores, log_probs, counts)
 
 
 def topk_spans(trace: ForwardTrace, enc: EncodedExample, k: int, max_answer_len: int) -> PredictionSet:
     """The top-k legal spans of one example (fewer only when fewer exist):
-    the one-example case of ``topk_batch``, ranked and tie-broken alike."""
-    ranked = topk_batch([trace.start_logits], [trace.end_logits], [enc], k, max_answer_len)
-    return batch_row(ranked, 0, trace.start_logprobs, trace.end_logprobs, enc)
+    the one-example case of ``rank_batch``, ranked and tie-broken alike."""
+    heads = (trace.start_logits, trace.end_logits, trace.start_logprobs, trace.end_logprobs)
+    return rank_batch([heads], [enc], k, max_answer_len).row(0)
 
 
-def batch_row(ranked: tuple, b: int, start_logprobs, end_logprobs, enc: EncodedExample) -> PredictionSet:
-    """Row b of a ``topk_batch`` result as example b's PredictionSet."""
-    m = int(ranked[3][b])
-    starts, ends, scores = (a[b, :m] for a in ranked[:3])
-    return PredictionSet(starts, ends, scores, start_logprobs[starts] + end_logprobs[ends], enc)
+def key_rows(encs: Sequence[EncodedExample]) -> np.ndarray:
+    """(B, P) array whose row b is example b's ``passage_keys``, padded with -1."""
+    keys = np.full((len(encs), max(len(enc.passage_keys) for enc in encs)), -1, dtype=np.int64)
+    for b, enc in enumerate(encs):
+        keys[b, : len(enc.passage_keys)] = enc.passage_keys
+    return keys
 
 
 def text_matches(
@@ -192,64 +256,82 @@ def brute_force_topk(trace: ForwardTrace, enc: EncodedExample, k: int, max_answe
     return PredictionSet.from_ranked(ranked, enc)
 
 
+def freeze_batch(
+    ranked: RankedBatch, golds: Sequence[ScoredSpan], k: int, match: str = "position"
+) -> tuple[RankedBatch, list[int | None]]:
+    """Guarantee each row's gold span a slot in its top-k candidate list.
+
+    If the gold already sits in row b's top k (matched positionally by
+    default, or by normalized text with match="text", which compares the
+    token keys of ``ranked.encs[b]``), the top k is kept unchanged; otherwise
+    the last slot is replaced by the gold. Returns the frozen sets, k spans
+    per row, and each gold's 1-based rank among the original predictions
+    (None when it was inserted). Padding short lists is forbidden.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if match not in ("position", "text"):
+        raise ValueError(f"unknown gold-match mode {match!r}")
+    B = len(golds)
+    cols = min(k, ranked.starts.shape[1])
+    starts, ends = ranked.starts[:, :cols], ranked.ends[:, :cols]
+    gold_starts = np.array([g.span.start for g in golds], dtype=np.int64)
+    gold_ends = np.array([g.span.end for g in golds], dtype=np.int64)
+    if match == "position":
+        same = (starts == gold_starts[:, None]) & (ends == gold_ends[:, None])
+    else:
+        if any(enc is None for enc in ranked.encs):
+            raise ValueError("text matching needs the prediction set's encoded example")
+        p0 = np.array([enc.passage_region[0] for enc in ranked.encs])
+        keys = key_rows(ranked.encs)
+        same = text_matches(keys, starts - p0[:, None], ends - p0[:, None], gold_starts - p0, gold_ends - p0)
+    same &= np.arange(cols) < ranked.counts[:, None]
+    found = same.any(axis=1)
+    short = np.flatnonzero(ranked.counts < np.where(found, k, k - 1))
+    if short.size:
+        raise ValueError(f"only {ranked.counts[short[0]]} candidates available, cannot fill k={k}")
+    # A row with a hit has k predictions, so cols == k and the row is whole;
+    # every other row takes its gold in the last slot.
+    inserted = ~found
+    frozen = []
+    for a, g in ((starts, gold_starts), (ends, gold_ends), (ranked.scores, [x.score for x in golds]),
+                 (ranked.log_probs, [x.log_prob for x in golds])):
+        out = np.empty((B, k), dtype=a.dtype)
+        out[:, :cols] = a[:, :cols]
+        out[inserted, k - 1] = np.asarray(g)[inserted]
+        frozen.append(out)
+    ranks = [int(r) + 1 if hit else None for r, hit in zip(same.argmax(axis=1).tolist(), found.tolist())]
+    return RankedBatch(ranked.encs, *frozen, np.full(B, k)), ranks
+
+
 def build_frozen_set(
     preds: PredictionSet,
     gold: ScoredSpan,
     k: int,
     match: str = "position",
 ) -> tuple[PredictionSet, int | None]:
-    """Guarantee the gold span a slot in the top-k candidate list.
-
-    If the gold already sits in the top k (matched positionally by default, or
-    by normalized text with match="text", which compares the token keys of
-    ``preds.enc``), the top k is returned unchanged; otherwise the last slot is
-    replaced by the gold. Returns the frozen set and the gold's 1-based rank
-    among the original predictions (None when it was inserted). Padding short
-    lists is forbidden.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if match not in ("position", "text"):
-        raise ValueError(f"unknown gold-match mode {match!r}")
-    starts, ends = preds.starts[:k], preds.ends[:k]
-    g0, g1 = gold.span.positions
-    if match == "position":
-        hits = np.flatnonzero((starts == g0) & (ends == g1))
-    else:
-        if preds.enc is None:
-            raise ValueError("text matching needs the prediction set's encoded example")
-        p0 = preds.enc.passage_region[0]
-        same = text_matches(
-            preds.enc.passage_keys[None], starts[None] - p0, ends[None] - p0, np.array([g0 - p0]), np.array([g1 - p0])
-        )
-        hits = np.flatnonzero(same[0])
-    gold_rank = int(hits[0]) + 1 if hits.size else None
-    m = k if gold_rank is not None else k - 1  # predictions kept
-    if len(preds) < m:
-        raise ValueError(f"only {len(preds)} candidates available, cannot fill k={k}")
-    if gold_rank is not None:
-        return PredictionSet(starts, ends, preds.scores[:k], preds.log_probs[:k], preds.enc), gold_rank
-    return PredictionSet(
-        np.append(preds.starts[:m], g0),
-        np.append(preds.ends[:m], g1),
-        np.append(preds.scores[:m], gold.score),
-        np.append(preds.log_probs[:m], gold.log_prob),
-        preds.enc,
-    ), None
+    """The one-example case of ``freeze_batch``: ``preds``'s frozen set and
+    the gold's 1-based rank among them (None when it was inserted)."""
+    frozen, (rank,) = freeze_batch(RankedBatch.of_set(preds), [gold], k, match)
+    return frozen.row(0), rank
 
 
-def store_record(example_id: str, frozen: PredictionSet, gold_rank: int | None) -> dict:
+def store_records(frozen: RankedBatch, gold_ranks: Sequence[int | None]) -> list[dict]:
+    """One candidate-store record per row of ``frozen``, keyed by its example's id."""
     rows = zip(frozen.starts.tolist(), frozen.ends.tolist(), frozen.scores.tolist(), frozen.log_probs.tolist())
-    return {
-        "id": example_id,
-        "spans": [{"start": s, "end": e, "score": sc, "log_prob": lp} for s, e, sc, lp in rows],
-        "gold_rank": gold_rank,
-    }
+    return [
+        {
+            "id": enc.id,
+            "spans": [{"start": s, "end": e, "score": sc, "log_prob": lp} for s, e, sc, lp in zip(*row)],
+            "gold_rank": rank,
+        }
+        for enc, row, rank in zip(frozen.encs, rows, gold_ranks)
+    ]
 
 
 def write_candidate_store(path: str | Path, records: Iterable[dict]) -> None:
     """Candidate store: one JSON object per line, spans in sequence coordinates."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, encoding="utf-8", newline="\n") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
 

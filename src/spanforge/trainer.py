@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import EncodedExample, Example, Span, SpanIndex, Vocab, encode, read_jsonl, span_text
+from .corpus import EncodedExample, Example, Span, SpanIndex, Vocab, atomic_write, encode, read_jsonl, span_text
 from .encoder import (
     EncoderConfig,
     ForwardTrace,
@@ -54,10 +54,12 @@ from .metrics import EvalReport, evaluate
 from .numeric import pooling_matrix
 from .spandecode import (
     PredictionSet,
+    RankedBatch,
     ScoredSpan,
-    batch_row,
-    build_frozen_set,
-    store_record,
+    build_frozen_set,  # noqa: F401  (not called here: the benchmark's contract binds it on this module)
+    freeze_batch,
+    rank_batch,
+    store_records,
     topk_batch,
     write_candidate_store,
 )
@@ -124,7 +126,7 @@ class RunLog:
         return [r for r in self.records if r.get("kind") == kind]
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(path, encoding="utf-8", newline="\n") as fh:
             for rec in self.records:
                 fh.write(json.dumps(rec) + "\n")
 
@@ -230,11 +232,13 @@ def gold_scored(trace: ForwardTrace, gold: Span) -> ScoredSpan:
     )
 
 
-def decode(
+def decode_chunks(
     params: ModelParams, encs: Iterable[EncodedExample], k: int, max_answer_len: int
-) -> Iterator[tuple[PredictionSet, ScoredSpan | None]]:
-    """The one inference path: each example's top-k PredictionSet, in order, with its gold's
-    ScoredSpan (None if unusable); ``encs`` is read one topk_batch chunk at a time."""
+) -> Iterator[tuple[RankedBatch, list[ScoredSpan | None]]]:
+    """The one inference path: per chunk of DECODE_CHUNK examples, one forward
+    each and one ``rank_batch`` call, yielding the chunk's top-k RankedBatch
+    and each gold's ScoredSpan (None if unusable); ``encs`` is read one chunk
+    at a time."""
     encs = iter(encs)
     while chunk := list(islice(encs, DECODE_CHUNK)):
         heads, golds = [], []
@@ -243,10 +247,17 @@ def decode(
             heads.append((trace.start_logits, trace.end_logits, trace.start_logprobs, trace.end_logprobs))
             golds.append(gold_scored(trace, enc.gold_in_sequence) if enc.usable else None)
             del trace  # only the head vectors outlive a forward, so at most one trace is ever alive
-        start_logits, end_logits, start_logprobs, end_logprobs = zip(*heads)
-        ranked = topk_batch(start_logits, end_logits, chunk, k, max_answer_len)
-        for b, (enc, gold) in enumerate(zip(chunk, golds)):
-            yield batch_row(ranked, b, start_logprobs[b], end_logprobs[b], enc), gold
+        yield rank_batch(heads, chunk, k, max_answer_len), golds
+
+
+def decode(
+    params: ModelParams, encs: Iterable[EncodedExample], k: int, max_answer_len: int
+) -> Iterator[tuple[PredictionSet, ScoredSpan | None]]:
+    """``decode_chunks`` one example at a time: each example's top-k
+    PredictionSet, in order, with its gold's ScoredSpan (None if unusable)."""
+    for ranked, golds in decode_chunks(params, encs, k, max_answer_len):
+        for b, gold in enumerate(golds):
+            yield ranked.row(b), gold
 
 
 def log_probe_predictions(
@@ -383,10 +394,9 @@ def collect_candidates(
     """
     k = config.loss.k_frozen
     encs, skipped = _encode_usable(config, examples, vocab)
-    records = [
-        store_record(preds.enc.id, *build_frozen_set(preds, gold, k, config.z_match))
-        for preds, gold in decode(params, encs, k, config.max_answer_len)
-    ]
+    records = []
+    for batch, golds in decode_chunks(params, encs, k, config.max_answer_len):
+        records += store_records(*freeze_batch(batch, golds, k, config.z_match))
     rank_hist = Counter(str(r["gold_rank"]) for r in records)
     n = len(records)
     ranked = [r["gold_rank"] for r in records if r["gold_rank"] is not None]
@@ -399,7 +409,7 @@ def collect_candidates(
     }
     if out_path is not None:
         write_candidate_store(out_path, records)
-        with open(Path(out_path).with_suffix(".summary.json"), "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(Path(out_path).with_suffix(".summary.json"), encoding="utf-8", newline="\n") as fh:
             json.dump(summary, fh, sort_keys=True)
             fh.write("\n")
     return records, summary
@@ -562,8 +572,10 @@ def _combined_steps(
     mine_cache: dict[str, tuple[int, SpanIndex]] = {}
     for step, batch_encs in batches:
         if config.z_refresh_every > 0 and step > 0 and step % config.z_refresh_every == 0:
-            fresh = decode(params, encs, config.loss.k_frozen, config.max_answer_len)
-            frozen_map = {p.enc.id: build_frozen_set(p, g, config.loss.k_frozen, config.z_match)[0] for p, g in fresh}
+            frozen_map = {}
+            for ranked, golds in decode_chunks(params, encs, config.loss.k_frozen, config.max_answer_len):
+                frozen, _ = freeze_batch(ranked, golds, config.loss.k_frozen, config.z_match)
+                frozen_map.update((enc.id, frozen.row(b)) for b, enc in enumerate(frozen.encs))
             log.add(kind="z_refresh", step=step)
 
         items, traces, mined_log = _assemble_batch(params, config, batch_encs, frozen_map, mine_cache, step)

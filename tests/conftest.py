@@ -5,7 +5,7 @@ import pytest
 
 from spanforge.corpus import EncodedExample, Span
 from spanforge.encoder import ForwardTrace
-from spanforge.numeric import MASK_VALUE, masked_softmax
+from spanforge.numeric import MASK_VALUE, region_softmax
 
 
 def make_enc(passage_tokens, question_tokens=("what", "k"), ex_id="fx", max_len=None):
@@ -40,8 +40,8 @@ def fake_trace(enc, start_region_logits, end_region_logits, d_model=4):
     sl[p0 : p1 + 1] = np.asarray(start_region_logits, dtype=np.float64)
     el[p0 : p1 + 1] = np.asarray(end_region_logits, dtype=np.float64)
     zeros = np.zeros((n, d_model))
-    start_probs, start_logprobs = masked_softmax(sl)
-    end_probs, end_logprobs = masked_softmax(el)
+    start_probs, start_logprobs = region_softmax(sl, p0, p1)
+    end_probs, end_logprobs = region_softmax(el, p0, p1)
     return ForwardTrace(
         enc=enc,
         h0=zeros,

@@ -1,0 +1,75 @@
+"""Every writer of a checkpoint, candidate store, eval report or run log
+replaces its file whole: a write that raises part-way leaves the old file as
+it was and no temporary file behind."""
+
+import numpy as np
+import pytest
+
+from spanforge.corpus import atomic_write
+from spanforge.encoder import EncoderConfig, init_params, save_checkpoint
+from spanforge.metrics import EvalReport
+from spanforge.spandecode import write_candidate_store
+from spanforge.trainer import RunLog
+
+OLD = b"old contents\n"
+
+
+def records_then_failure():
+    yield {"id": "a", "spans": [], "gold_rank": None}
+    raise RuntimeError("stopped part-way")
+
+
+def bad_checkpoint(path):
+    cfg = EncoderConfig(vocab_size=8, d_model=2, d_ff=2, max_len=4, num_hard_weights=2)
+    params = init_params(cfg, seed=0)
+    params.u = np.array(["not a float", "x"])  # the last field, after the others are written
+    save_checkpoint(path, cfg, params)
+
+
+def bad_report():
+    return EvalReport(records=[{"id": "a"}, {"id": object()}], em=0.0, f1=0.0, topk={1: 0.0}, k_list=(1,))
+
+
+def bad_runlog(path):
+    log = RunLog()
+    log.add(kind="setup")
+    log.add(kind="step", loss=object())
+    log.save(path)
+
+
+WRITERS = {
+    "checkpoint": (bad_checkpoint, ValueError),
+    "candidate_store": (lambda path: write_candidate_store(path, records_then_failure()), RuntimeError),
+    "report_json": (lambda path: bad_report().save_json(path), TypeError),
+    "report_csv": (lambda path: EvalReport([], 0.0, 0.0, {1: 0.5}, (1, 3)).save_csv(path), KeyError),
+    "runlog": (bad_runlog, TypeError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_failed_write_keeps_the_old_file(tmp_path, name):
+    write, error = WRITERS[name]
+    path = tmp_path / "target"
+    path.write_bytes(OLD)
+    with pytest.raises(error):
+        write(path)
+    assert path.read_bytes() == OLD
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+
+def test_failed_first_write_leaves_no_file(tmp_path):
+    with pytest.raises(RuntimeError):
+        with atomic_write(tmp_path / "new.txt") as fh:
+            fh.write("partial")
+            raise RuntimeError("stopped part-way")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_clean_write_replaces_the_file(tmp_path):
+    path = tmp_path / "target.bin"
+    path.write_bytes(OLD)
+    with atomic_write(path, "wb") as fh:
+        fh.write(b"new")
+        assert path.read_bytes() == OLD  # nothing is visible before the block exits
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["target.bin"]

@@ -45,6 +45,14 @@ def tiny_enc(max_len=14, **kw):
     return encode(tiny_example(**kw), VOCAB, max_len)
 
 
+def in_region(trace, g):
+    """``g`` with every entry outside the passage region set to zero."""
+    p0, p1 = trace.enc.passage_region
+    out = np.zeros_like(g)
+    out[p0 : p1 + 1] = g[p0 : p1 + 1]
+    return out
+
+
 class TestInit:
     def test_deterministic(self):
         a = init_params(tiny_config(), seed=5)
@@ -167,7 +175,8 @@ class TestBackward:
         for p in [("t1", "t2", "t1", "t1"), ("t3", "t3", "t2", "t4")]:
             tr = forward(params, encode(tiny_example(p=p), VOCAB, max_len=14))
             n = tr.length
-            up = UpstreamGrads(rng.normal(size=n), rng.normal(size=n), rng.normal(size=(n, 6)), rng.normal(size=3))
+            d_slp, d_elp = in_region(tr, rng.normal(size=n)), in_region(tr, rng.normal(size=n))
+            up = UpstreamGrads(d_slp, d_elp, rng.normal(size=(n, 6)), rng.normal(size=3))
             for name, arr in backward(params, tr, up).arrays():
                 arr_total = getattr(total, name)
                 arr_total += arr
@@ -189,7 +198,7 @@ class TestBackward:
             n = tr.length
             counts = np.bincount(enc.token_ids[:n])
             assert counts.max() >= 4 and counts[VOCAB.id("[SEP]")] == 2
-            up = UpstreamGrads(rng.normal(size=n), rng.normal(size=n), rng.normal(size=(n, 6)))
+            up = UpstreamGrads(in_region(tr, rng.normal(size=n)), in_region(tr, rng.normal(size=n)), rng.normal(size=(n, 6)))
             d_h0 = backward(params, tr, up).pos_emb[:n]
             uniq, inverse = np.unique(enc.token_ids[:n], return_inverse=True)
             block = np.zeros((uniq.size, cfg.d_model))
@@ -203,6 +212,21 @@ class TestBackward:
         tr = forward(params, tiny_enc())
         with pytest.raises(ValueError):
             backward(params, tr, UpstreamGrads(d_start_logprob=np.zeros(3)))
+
+    @pytest.mark.parametrize("name", ["d_start_logprob", "d_end_logprob"])
+    def test_log_prob_gradient_outside_the_region_refused(self, name):
+        # the log-probability is -inf there, so no finite objective sends one
+        params = init_params(tiny_config(), seed=0)
+        tr = forward(params, tiny_enc())
+        p0, p1 = tr.enc.passage_region
+        inside = np.zeros(tr.length)
+        inside[p0 : p1 + 1] = 1.0
+        backward(params, tr, UpstreamGrads(**{name: inside}))
+        for pos in (p0 - 1, p1 + 1):
+            g = inside.copy()
+            g[pos] = 0.5
+            with pytest.raises(ValueError, match=rf"x: {name} is 0.5 at position {pos}, outside the passage region \({p0}, {p1}\)"):
+                backward(params, tr, UpstreamGrads(**{name: g}))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_logprob_gradient_matches_finite_diff(self, seed):

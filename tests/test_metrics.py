@@ -177,3 +177,60 @@ class TestEvaluate:
         cfg = EncoderConfig(vocab_size=len(ds.vocab), d_model=4, d_ff=6, max_len=32, num_hard_weights=2)
         with pytest.raises(ValueError):
             run_eval(init_params(cfg, 0), TrainConfig(encoder=cfg), [], ds.vocab)
+
+
+def reference_evaluate(examples, ranked_texts, k_list, squad_style):
+    """evaluate written out per k from the one-text scorers."""
+    records = []
+    for ex, texts in zip(examples, ranked_texts):
+        top1 = texts[0] if texts else ""
+        records.append(
+            {
+                "id": ex.id,
+                "top_preds": texts,
+                "gold": ex.gold.text,
+                "em": exact_match(top1, ex.gold.text, squad_style),
+                "f1": f1_overlap(top1, ex.gold.text, squad_style),
+                "topk_em": {str(k): topk_em(texts, ex.gold.text, k, squad_style) for k in k_list},
+            }
+        )
+    n = len(records)
+    em = sum(r["em"] for r in records) / n
+    f1 = sum(r["f1"] for r in records) / n
+    return records, em, f1, {k: sum(r["topk_em"][str(k)] for r in records) / n for k in k_list}
+
+
+# Case variants, articles and punctuation, so both normalisations matter.
+WORDS = st.sampled_from(["ab", "Ab", "AB", "cd", "the", "The", "a", "x.", "x", "1876"])
+SPACES = st.sampled_from([" ", "  ", "\t", " \n "])
+
+
+@st.composite
+def spaced_text(draw):
+    words = draw(st.lists(WORDS, max_size=4))
+    return draw(SPACES if draw(st.booleans()) else st.just("")) + "".join(w + draw(SPACES) for w in words)
+
+
+@st.composite
+def eval_case(draw):
+    examples, ranked = [], []
+    for i in range(draw(st.integers(1, 6))):
+        gold = draw(st.lists(WORDS, min_size=1, max_size=3))
+        passage = ("f0", *gold, "f1")
+        examples.append(Example(f"e{i}", ("q",), passage, Span(1, len(gold), " ".join(gold))))
+        # variants of the gold, other texts, and sometimes no texts at all
+        variant = st.builds(lambda w, s: s.join(w).upper() if s == "\t" else s.join(w), st.just(gold), SPACES)
+        ranked.append(draw(st.lists(st.one_of(variant, spaced_text()), max_size=12)))
+    k_list = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+    return examples, ranked, k_list
+
+
+class TestEvaluateAgainstPerKReference:
+    @given(eval_case(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_records_and_aggregates_equal(self, case, squad_style):
+        examples, ranked, k_list = case
+        report = evaluate(examples, ranked, k_list, squad_style)
+        records, em, f1, topk = reference_evaluate(examples, ranked, k_list, squad_style)
+        assert report.records == records
+        assert (report.em, report.f1, report.topk) == (em, f1, topk)

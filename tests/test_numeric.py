@@ -12,24 +12,20 @@ from spanforge.numeric import (
     cosine_sim,
     finite_diff_grad,
     logsumexp,
-    masked_softmax,
     max_rel_error,
     pooling_matrix,
+    region_softmax,
     row_softmax,
     unit_rows,
 )
 
 
 def probs(v):
-    return masked_softmax(v)[0]
-
-
-def logprobs(v):
-    return masked_softmax(v)[1]
+    return region_softmax(v, 0, v.shape[-1] - 1)[0]
 
 
 class TestSoftmax:
-    """The probabilities that masked_softmax returns."""
+    """The probabilities that region_softmax returns."""
 
     def test_symmetry(self):
         np.testing.assert_allclose(probs(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-15)
@@ -39,35 +35,41 @@ class TestSoftmax:
         np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-12)
 
     def test_shift_stability_and_mask(self):
-        out = probs(np.array([1000.0, 1000.0, MASK_VALUE]))
+        out = region_softmax(np.array([1000.0, 1000.0, MASK_VALUE]), 0, 1)[0]
         np.testing.assert_allclose(out, [0.5, 0.5, 0.0], atol=1e-15)
         assert out[2] == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            masked_softmax(np.array([]))
-        with pytest.raises(ValueError):
-            masked_softmax(np.zeros((2, 0)))
-        with pytest.raises(ValueError):
-            masked_softmax(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="outside"):
+            region_softmax(np.array([]), 0, 0)
+        with pytest.raises(ValueError, match="outside"):
+            region_softmax(np.zeros((2, 0)), 0, 0)
+        with pytest.raises(ValueError, match="outside"):
+            region_softmax(np.zeros(3), 1, 3)
+        with pytest.raises(ValueError, match="outside"):
+            region_softmax(np.zeros(3), -1, 1)
 
     def test_all_masked_rejected(self):
-        with pytest.raises(ValueError):
-            masked_softmax(np.array([MASK_VALUE, MASK_VALUE]))
+        # an empty region leaves nothing to normalise over
+        with pytest.raises(ValueError, match="empty"):
+            region_softmax(np.zeros(4), 2, 1)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            masked_softmax(np.array([0.0, np.inf]))
-        with pytest.raises(ValueError):
-            masked_softmax(np.array([0.0, np.nan]))
-
-    def test_block_rows_must_share_the_mask(self):
-        with pytest.raises(ValueError, match="same positions"):
-            masked_softmax(np.array([[0.0, MASK_VALUE], [MASK_VALUE, 0.0]]))
-        with pytest.raises(ValueError, match="all-masked"):
-            masked_softmax(np.full((2, 3), MASK_VALUE))
         with pytest.raises(ValueError, match="finite"):
-            masked_softmax(np.array([[0.0, 1.0], [0.0, -np.inf]]))
+            region_softmax(np.array([0.0, np.inf]), 0, 1)
+        with pytest.raises(ValueError, match="finite"):
+            region_softmax(np.array([0.0, np.nan]), 0, 1)
+        with pytest.raises(ValueError, match="finite"):
+            region_softmax(np.array([[0.0, 1.0], [0.0, -np.inf]]), 0, 1)
+
+    def test_block_rows_read_only_the_region(self):
+        # outside the region a row may hold anything, a non-finite value too
+        block = np.array([[np.nan, 0.0, 1.0, np.inf], [7.0, 2.0, -1.0, -np.inf]])
+        p, lp = region_softmax(block, 1, 2)
+        for row, p_row, lp_row in zip(block, p, lp):
+            p1d, lp1d = region_softmax(row[1:3], 0, 1)
+            assert_bitwise(p_row, np.concatenate([[0.0], p1d, [0.0]]))
+            assert_bitwise(lp_row, np.concatenate([[-np.inf], lp1d, [-np.inf]]))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
@@ -80,14 +82,13 @@ class TestSoftmax:
 
 
 class TestMaskedLogSoftmax:
-    """The log-probabilities that masked_softmax returns."""
+    """The log-probabilities that region_softmax returns."""
 
     def test_matches_log_of_softmax(self):
-        v = np.array([0.3, -1.2, MASK_VALUE, 2.0])
-        p, lp = masked_softmax(v)
-        live = v != MASK_VALUE
-        np.testing.assert_allclose(np.exp(lp[live]), p[live], atol=1e-12)
-        assert lp[2] == -np.inf
+        v = np.array([MASK_VALUE, 0.3, -1.2, 2.0, MASK_VALUE])
+        p, lp = region_softmax(v, 1, 3)
+        np.testing.assert_allclose(np.exp(lp[1:4]), p[1:4], atol=1e-12)
+        assert lp[0] == lp[4] == -np.inf
 
 
 # The formulas each helper replaced, kept verbatim as references: every
@@ -150,31 +151,40 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-# Magnitudes up to 1e5 overflow an unshifted exp; the sentinel marks masked entries.
+# Magnitudes up to 1e5 overflow an unshifted exp.
 LARGE = st.floats(-1e5, 1e5)
-HEAD = st.lists(st.one_of(LARGE, st.floats(-3, 3), st.just(MASK_VALUE)), min_size=1, max_size=40).filter(
-    lambda vals: any(x != MASK_VALUE for x in vals)
-)
+HEAD = st.lists(st.one_of(LARGE, st.floats(-3, 3)), min_size=1, max_size=40)
 MATRIX = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9), elements=LARGE)
 
 
+@st.composite
+def head_region(draw):
+    """A head vector holding MASK_VALUE outside a drawn region, and the region."""
+    v = np.array(draw(HEAD))
+    p0 = draw(st.integers(0, v.size - 1))
+    p1 = draw(st.integers(p0, v.size - 1))
+    v[:p0] = MASK_VALUE
+    v[p1 + 1 :] = MASK_VALUE
+    return v, p0, p1
+
+
 class TestAgainstReplacedFormulas:
-    @given(HEAD)
+    @given(head_region())
     @settings(max_examples=200, deadline=None)
-    def test_masked_softmax(self, vals):
-        v = np.array(vals)
-        p, lp = masked_softmax(v)
+    def test_region_softmax(self, drawn):
+        v, p0, p1 = drawn
+        p, lp = region_softmax(v, p0, p1)
         assert_bitwise(p, reference_softmax(v))
         assert_bitwise(lp, reference_masked_log_softmax(v))
 
-    @given(HEAD, st.data())
+    @given(head_region(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_masked_softmax_block_rows(self, vals, data):
-        # a second row, masked where the first is, gets its own 1-d bits
-        v = np.array(vals)
+    def test_region_softmax_block_rows(self, drawn, data):
+        # a second row over the same region gets its own 1-d bits
+        v, p0, p1 = drawn
         other = np.array(data.draw(st.lists(st.one_of(LARGE, st.floats(-3, 3)), min_size=v.size, max_size=v.size)))
         block = np.stack([v, np.where(v == MASK_VALUE, MASK_VALUE, other)])
-        p, lp = masked_softmax(block)
+        p, lp = region_softmax(block, p0, p1)
         for row, p_row, lp_row in zip(block, p, lp):
             assert_bitwise(p_row, reference_softmax(row))
             assert_bitwise(lp_row, reference_masked_log_softmax(row))

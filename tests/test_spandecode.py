@@ -3,18 +3,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fake_trace, make_enc
 from spanforge.corpus import Span, SpanIndex, span_text
 from spanforge.losses import hard_loss_grads
+from spanforge.numeric import MASK_VALUE
 from spanforge.spandecode import (
     PredictionSet,
+    RankedBatch,
     ScoredSpan,
     brute_force_topk,
     build_frozen_set,
     candidate_count,
+    freeze_batch,
     read_candidate_store,
-    store_record,
+    store_records,
     topk_batch,
     topk_spans,
     write_candidate_store,
@@ -144,6 +149,68 @@ class TestOracleEquivalence:
                 assert candidate_count(plen, cap) == direct
 
 
+def reference_topk(start_logits, end_logits, enc, k, max_answer_len):
+    """A full stable argsort over every legal span, listed in (start, end) order."""
+    p0, p1 = enc.passage_region
+    spans = [(i, j) for i in range(p0, p1 + 1) for j in range(i, min(p1, i + max_answer_len - 1) + 1)]
+    scores = np.array([start_logits[i] + end_logits[j] for i, j in spans])
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [spans[o] for o in order], scores[order]
+
+
+@st.composite
+def ragged_heads(draw):
+    """Examples of ragged passage and question lengths with head logits
+    (MASK_VALUE outside the region), quantized to force ties or not."""
+    quantized = draw(st.booleans())
+    value = st.integers(-2, 2).map(float) if quantized else st.floats(-1e3, 1e3)
+    encs, starts, ends = [], [], []
+    for b in range(draw(st.integers(1, 6))):
+        plen, qlen = draw(st.integers(1, 15)), draw(st.integers(0, 3))
+        enc = make_enc([f"p{i}" for i in range(plen)], [f"q{i}" for i in range(qlen)], ex_id=f"r{b}")
+        p0, p1 = enc.passage_region
+        for heads in (starts, ends):
+            logits = np.full(enc.length, MASK_VALUE)
+            logits[p0 : p1 + 1] = draw(st.lists(value, min_size=plen, max_size=plen))
+            heads.append(logits)
+        encs.append(enc)
+    longest = max(len(enc.passage_tokens) for enc in encs)
+    cap = draw(st.one_of(st.just(1), st.just(longest + 1), st.integers(1, longest)))
+    # up to past the largest legal-span count, so short rows pad
+    k = draw(st.integers(1, candidate_count(longest, cap) + 3))
+    return starts, ends, encs, k, cap
+
+
+class TestTopKBatchProperties:
+    @given(ragged_heads())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_full_stable_argsort(self, drawn):
+        start_logits, end_logits, encs, k, cap = drawn
+        starts, ends, scores, counts = topk_batch(start_logits, end_logits, encs, k, cap)
+        assert starts.shape == ends.shape == scores.shape == (len(encs), counts.max())
+        for b, enc in enumerate(encs):
+            spans, ref_scores = reference_topk(start_logits[b], end_logits[b], enc, k, cap)
+            m = int(counts[b])
+            assert m == len(spans) == min(k, candidate_count(len(enc.passage_tokens), cap))
+            assert list(zip(starts[b, :m].tolist(), ends[b, :m].tolist())) == spans
+            assert scores[b, :m].tobytes() == ref_scores.tobytes()
+            assert np.all(scores[b, m:] == -np.inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("head", [0, 1])
+    def test_non_finite_region_logit_refused(self, bad, head):
+        encs = [make_enc(["a", "b", "c"], ex_id=f"n{b}") for b in range(3)]
+        heads = [[np.zeros(enc.length) for enc in encs] for _ in range(2)]
+        p0 = encs[1].passage_region[0]
+        heads[head][1][p0 + 1] = bad
+        with pytest.raises(ValueError, match="n1: non-finite start or end logit in the passage region"):
+            topk_batch(*heads, encs, 3, 2)
+        # outside the region the value is never read
+        heads[head][1][p0 + 1] = 0.0
+        heads[head][1][0] = bad
+        topk_batch(*heads, encs, 3, 2)
+
+
 def _scored(start, end, score, enc=None):
     text = span_text(enc, start, end) if enc is not None else f"s{start}e{end}"
     return ScoredSpan(span=Span(start, end, text), score=score, log_prob=-1.0)
@@ -260,13 +327,13 @@ class TestStore:
         preds = _preds(4, base=0.123456789012345)
         p0 = preds.enc.passage_region[0]
         gold = _scored(p0 + 1, p0 + 1, 0.123456789012345 - 1, preds.enc)
-        frozen, rank = build_frozen_set(preds, gold, k=4)
-        rec = store_record("ex0", frozen, rank)
+        frozen, ranks = freeze_batch(RankedBatch.of_set(preds), [gold], k=4)
+        (rec,) = store_records(frozen, ranks)
         path = tmp_path / "candidates.jsonl"
         write_candidate_store(path, [rec])
         back = read_candidate_store(path)
-        assert back["ex0"] == json.loads(json.dumps(rec))
-        assert back["ex0"]["spans"][0]["score"] == preds.ranked[0].score
+        assert back[preds.enc.id] == json.loads(json.dumps(rec))
+        assert back[preds.enc.id]["spans"][0]["score"] == preds.ranked[0].score
 
     @pytest.mark.parametrize(
         "line, message",
