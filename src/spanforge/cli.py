@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .corpus import CorpusSpec, Dataset, DistractorPolicy, generate_corpus, read_examples_jsonl, Vocab
+from .corpus import CorpusSpec, Dataset, DistractorPolicy, atomic_write, generate_corpus, read_examples_jsonl, Vocab
 from .encoder import EncoderConfig, ModelParams, load_checkpoint, save_checkpoint
 from .losses import LossConfig
 from .metrics import EvalReport
@@ -210,7 +210,7 @@ def _cmd_gen(args) -> int:
     ds = generate_corpus(spec)
     out = Path(args.out)
     ds.save(out)
-    with open(out / "corpus_meta.json", "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(out / "corpus_meta.json", encoding="utf-8", newline="\n") as fh:
         json.dump(
             {
                 "vocab_size": spec.vocab_size,
@@ -325,7 +325,7 @@ def _cmd_sweep(args) -> int:
             report = run_eval(tuned, run_cfg, ds.test, ds.vocab)
             report.save_json(run_dir / "report.json")
             report.save_csv(run_dir / "report.csv")
-            with open(run_dir / "meta.json", "w", encoding="utf-8", newline="\n") as fh:
+            with atomic_write(run_dir / "meta.json", encoding="utf-8", newline="\n") as fh:
                 json.dump({"axis": args.axis, "value": value, "seed": seed}, fh, sort_keys=True)
                 fh.write("\n")
             rows.append({"value": value, "seed": seed, "em": report.em, "f1": report.f1})
@@ -346,7 +346,7 @@ def _write_aggregate(base_path: Path, axis: str, rows: list[dict]) -> None:
         }
         for v, rs in by_value.items()
     }
-    with open(base_path.with_suffix(".csv"), "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(base_path.with_suffix(".csv"), encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["axis", "value", "seed", "em", "f1"])
         for row in rows:
@@ -363,7 +363,8 @@ def _write_aggregate(base_path: Path, axis: str, rows: list[dict]) -> None:
         lines.append(f"| {value} | {agg['em']:.4f} | {agg['f1']:.4f} |")
     lines.append("")
     lines.append(f"best {axis}={best} (f1 {means[best]['f1']:.4f}), worst {axis}={worst} (f1 {means[worst]['f1']:.4f})")
-    base_path.with_suffix(".txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(base_path.with_suffix(".txt"), encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _cmd_report(args) -> int:

@@ -89,34 +89,29 @@ class Example:
             raise ValueError(f"{self.id}: gold text {self.gold.text!r} != passage slice {resolved!r}")
 
 
-_INT64_ONE = np.int64(1).tobytes()  # an attention mask's prefix is this, n times
-
-
 @dataclass(frozen=True)
 class EncodedExample:
-    """[CLS] question [SEP] passage [SEP] layout, padded to max_len.
+    """[CLS] question [SEP] passage [SEP] layout: ``token_ids`` holds the real
+    tokens only, no padding.
 
     Regions are inclusive (first, last) position pairs in sequence
-    coordinates. ``gold_in_sequence`` is None and ``usable`` False when
+    coordinates. ``gold_in_sequence`` is None, and ``usable`` False, when
     truncation cut the gold span.
 
     Passage tokens are non-empty and hold no whitespace (construction
     refuses others), so two spans have equal ``normalize``d text exactly when
     their windows of ``passage_keys`` are equal.
 
-    Construction also refuses an attention mask that is not a non-empty
-    prefix of ones and a negative real token id, then keeps ``length`` (the
-    real length) and ``max_token_id`` (the largest real id) and makes both
-    arrays read-only, so a forward checks an encoding only against its vocab.
+    Construction also refuses ids that are empty, not 1-d or negative, then
+    keeps ``length`` and ``max_token_id`` (the largest id) and makes the ids
+    read-only, so a forward checks an encoding only against its model.
     """
 
     id: str
     token_ids: np.ndarray
-    attention_mask: np.ndarray
     question_region: tuple[int, int]
     passage_region: tuple[int, int]
     gold_in_sequence: Span | None
-    usable: bool
     passage_tokens: tuple[str, ...]
     length: int = field(init=False, repr=False, compare=False)
     max_token_id: int = field(init=False, repr=False, compare=False)
@@ -126,22 +121,20 @@ class EncodedExample:
             bad = next(tok for tok in self.passage_tokens if tok.split() != [tok])
             raise CorpusError(f"{self.id}: passage token {bad!r} is empty or holds whitespace")
         ids = np.array(self.token_ids, dtype=np.int64)
-        mask = np.array(self.attention_mask, dtype=np.int64)
-        if ids.ndim != 1 or mask.shape != ids.shape:
-            raise CorpusError(f"{self.id}: token ids and attention mask must be 1-d and of one length")
-        n = int(np.count_nonzero(mask))
-        if n == 0 or mask[:n].tobytes() != _INT64_ONE * n:
-            raise CorpusError(f"{self.id}: attention mask must be a non-empty prefix of ones")
-        real = ids[:n]
-        lowest = int(np.minimum.reduce(real))
+        if ids.ndim != 1 or ids.size == 0:
+            raise CorpusError(f"{self.id}: token ids must be 1-d and non-empty, got shape {ids.shape}")
+        lowest = int(np.minimum.reduce(ids))
         if lowest < 0:
             raise CorpusError(f"{self.id}: negative token id {lowest}")
         ids.setflags(write=False)
-        mask.setflags(write=False)
         object.__setattr__(self, "token_ids", ids)
-        object.__setattr__(self, "attention_mask", mask)
-        object.__setattr__(self, "length", n)
-        object.__setattr__(self, "max_token_id", int(np.maximum.reduce(real)))
+        object.__setattr__(self, "length", ids.size)
+        object.__setattr__(self, "max_token_id", int(np.maximum.reduce(ids)))
+
+    @property
+    def usable(self) -> bool:
+        """Whether the gold span survived truncation."""
+        return self.gold_in_sequence is not None
 
     @cached_property
     def passage_keys(self) -> np.ndarray:
@@ -153,17 +146,17 @@ class EncodedExample:
 
     @cached_property
     def token_groups(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        """The real positions grouped by token id, for the token-embedding
+        """The positions grouped by token id, for the token-embedding
         gradient; built on first read, which only ``backward`` makes.
 
-        Returns ``(uniq, order, sizes)``. ``uniq`` holds the distinct real ids,
-        the most frequent first. ``order`` lists the real positions rank by
+        Returns ``(uniq, order, sizes)``. ``uniq`` holds the distinct ids,
+        the most frequent first. ``order`` lists the positions rank by
         rank: each id's first occurrence in ``uniq`` order, then each second
         occurrence, and so on. Rank r takes the next ``sizes[r]`` entries,
         which belong to ``uniq[: sizes[r]]``.
         """
         where: dict[int, list[int]] = {}
-        for pos, tok in enumerate(self.token_ids[: self.length].tolist()):
+        for pos, tok in enumerate(self.token_ids.tolist()):
             if tok in where:
                 where[tok].append(pos)
             else:
@@ -243,7 +236,8 @@ class Vocab:
         return self._tokens[idx]
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self._tokens) + "\n", encoding="utf-8")
+        with atomic_write(path, encoding="utf-8") as fh:
+            fh.write("\n".join(self._tokens) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
@@ -407,7 +401,7 @@ def example_from_dict(obj: dict) -> Example:
 
 
 def write_examples_jsonl(path: str | Path, examples: Iterable[Example]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, encoding="utf-8", newline="\n") as fh:
         for ex in examples:
             fh.write(json.dumps(example_to_dict(ex)) + "\n")
 
@@ -518,7 +512,8 @@ def load_squad_json(path: str | Path) -> tuple[list[Example], int]:
 
 
 def encode(example: Example, vocab: Vocab, max_len: int, question_max_len: int = 64) -> EncodedExample:
-    """Lay out [CLS] question [SEP] passage [SEP], truncate, pad, re-index gold.
+    """Lay out [CLS] question [SEP] passage [SEP] in at most ``max_len``
+    tokens, truncating, and re-index the gold.
 
     The question is truncated first to its own cap; the passage then fills the
     remaining budget. If truncation cuts the gold span the encoding is flagged
@@ -536,29 +531,20 @@ def encode(example: Example, vocab: Vocab, max_len: int, question_max_len: int =
         )
     p = example.passage[:budget]
 
-    real = len(q) + len(p) + 3
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    ids[:real] = [CLS_ID, *vocab.ids(q), SEP_ID, *vocab.ids(p), SEP_ID]
-    mask = np.zeros(max_len, dtype=np.int64)
-    mask[:real] = 1
-
     q_region = (1, len(q))  # first > last when the question is empty
     p_first = len(q) + 2
     p_region = (p_first, p_first + len(p) - 1)
 
-    usable = example.gold.end < len(p)
     gold_seq = None
-    if usable:
+    if example.gold.end < len(p):
         gold_seq = Span(example.gold.start + p_first, example.gold.end + p_first, example.gold.text)
 
     return EncodedExample(
         id=example.id,
-        token_ids=ids,
-        attention_mask=mask,
+        token_ids=np.array([CLS_ID, *vocab.ids(q), SEP_ID, *vocab.ids(p), SEP_ID], dtype=np.int64),
         question_region=q_region,
         passage_region=p_region,
         gold_in_sequence=gold_seq,
-        usable=usable,
         passage_tokens=p,
     )
 

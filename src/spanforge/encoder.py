@@ -2,10 +2,10 @@
 residual self-attention block, a residual ReLU feed-forward, and a linear
 start/end head, all in float64 with hand-derived exact backward passes.
 
-The forward runs over the real (unpadded) prefix of the sequence, which is
-equivalent to masking padded positions out of attention. The start/end
-softmax runs over the passage region only, so no probability mass ever lands
-on question or special tokens; the logits outside it hold the mask sentinel.
+An encoding holds only its real tokens, so attention needs no mask. The
+start/end softmax runs over the passage region only, so no probability mass
+ever lands on question or special tokens; the logits outside it hold the mask
+sentinel.
 """
 
 from __future__ import annotations
@@ -148,15 +148,16 @@ class ForwardTrace:
 def forward(params: ModelParams, enc: EncodedExample) -> ForwardTrace:
     """Run the encoder over one example and cache everything backward needs.
 
-    The encoding checked its mask and ids when it was built; forward checks
-    only its largest real id against the vocab."""
+    The encoding checked its ids when it was built; forward checks only its
+    largest id against the vocab and its length against the position table."""
     n = enc.length
-    V = params.token_emb.shape[0]
+    V, d = params.token_emb.shape
     if enc.max_token_id >= V:
         raise ValueError(f"{enc.id}: token id {enc.max_token_id} >= vocab size {V}")
-    d = params.token_emb.shape[1]
+    if n > params.pos_emb.shape[0]:
+        raise ValueError(f"{enc.id}: encoding length {n} > model max_len {params.pos_emb.shape[0]}")
 
-    h0 = params.token_emb[enc.token_ids[:n]] + params.pos_emb[:n]
+    h0 = params.token_emb[enc.token_ids] + params.pos_emb[:n]
     qm = h0 @ params.wq
     km = h0 @ params.wk
     vm = h0 @ params.wv

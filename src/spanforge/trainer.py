@@ -56,7 +56,6 @@ from .spandecode import (
     PredictionSet,
     RankedBatch,
     ScoredSpan,
-    build_frozen_set,  # noqa: F401  (not called here: the benchmark's contract binds it on this module)
     freeze_batch,
     rank_batch,
     store_records,
@@ -511,14 +510,22 @@ def _combined_from_traces(
 
 
 def _frozen_spans_from_record(rec: dict, enc: EncodedExample, k: int) -> SpanIndex:
-    """A candidate-store record's frozen set; refuses a wrong count and a span
-    that is empty or outside the passage region."""
-    spans = rec["spans"]
+    """A candidate-store record's frozen set; refuses a record whose spans are
+    not a list of objects with integer ``start`` and ``end``, a wrong count,
+    and a span that is empty or outside the passage region."""
+    spans = rec.get("spans")
+    if not isinstance(spans, list):
+        raise ValueError(f"{enc.id}: candidate record's spans are not a list")
     if len(spans) != k:
         raise ValueError(f"{enc.id}: store has {len(spans)} candidate spans, config expects {k}")
+    for i, s in enumerate(spans):
+        if not isinstance(s, dict) or "start" not in s or "end" not in s:
+            raise ValueError(f"{enc.id}: candidate span {i} is not an object with start and end")
+        if type(s["start"]) is not int or type(s["end"]) is not int:  # not JSON true, not 10.0
+            raise ValueError(f"{enc.id}: candidate span {i} position ({s['start']!r}, {s['end']!r}) is not an integer")
     index = SpanIndex(
-        np.array([int(s["start"]) for s in spans], dtype=np.int64),
-        np.array([int(s["end"]) for s in spans], dtype=np.int64),
+        np.array([s["start"] for s in spans], dtype=np.int64),
+        np.array([s["end"] for s in spans], dtype=np.int64),
     )
     span_bounds(enc, index)
     return index

@@ -8,32 +8,26 @@ from spanforge.encoder import ForwardTrace
 from spanforge.numeric import MASK_VALUE, region_softmax
 
 
-def make_enc(passage_tokens, question_tokens=("what", "k"), ex_id="fx", max_len=None):
+def make_enc(passage_tokens, question_tokens=("what", "k"), ex_id="fx"):
     """Build an EncodedExample without a vocabulary; ids are synthetic."""
     q = list(question_tokens)
     p = list(passage_tokens)
-    n = 1 + len(q) + 1 + len(p) + 1
-    max_len = max_len or n
     ids = [2] + [10 + i for i in range(len(q))] + [3] + [100 + i for i in range(len(p))] + [3]
-    ids += [0] * (max_len - n)
-    mask = [1] * n + [0] * (max_len - n)
     p_first = len(q) + 2
     gold = Span(p_first, p_first, p[0])
     return EncodedExample(
         id=ex_id,
         token_ids=np.asarray(ids, dtype=np.int64),
-        attention_mask=np.asarray(mask, dtype=np.int64),
         question_region=(1, len(q)),
         passage_region=(p_first, p_first + len(p) - 1),
         gold_in_sequence=gold,
-        usable=True,
         passage_tokens=tuple(p),
     )
 
 
 def fake_trace(enc, start_region_logits, end_region_logits, d_model=4):
     """ForwardTrace with chosen passage-region logits; activations are dummies."""
-    n = int(enc.attention_mask.sum())
+    n = enc.length
     p0, p1 = enc.passage_region
     sl = np.full(n, MASK_VALUE)
     el = np.full(n, MASK_VALUE)

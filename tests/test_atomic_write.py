@@ -1,6 +1,10 @@
 """Every writer of a checkpoint, candidate store, eval report or run log
 replaces its file whole: a write that raises part-way leaves the old file as
-it was and no temporary file behind."""
+it was and no temporary file behind. No module under ``src/spanforge/``
+writes a file any other way."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,3 +77,54 @@ def test_clean_write_replaces_the_file(tmp_path):
         assert path.read_bytes() == OLD  # nothing is visible before the block exits
     assert path.read_bytes() == b"new"
     assert [p.name for p in tmp_path.iterdir()] == ["target.bin"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "spanforge"
+
+
+def plain_writes(source: str) -> list[str]:
+    """Each call in ``source`` that opens a file for writing (any mode but a
+    constant read mode) or calls ``write_text``/``write_bytes``, outside the
+    body of ``atomic_write``; as "line: call"."""
+    found = []
+
+    def visit(node, inside_atomic_write):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "atomic_write":
+            inside_atomic_write = True
+        if isinstance(node, ast.Call) and not inside_atomic_write:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("write_text", "write_bytes"):
+                found.append(f"{node.lineno}: {name}")
+            elif name == "open":
+                args = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+                mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), args[0] if args else None)
+                reads = mode is None or (isinstance(mode, ast.Constant) and not set("wax+") & set(str(mode.value)))
+                if not reads:
+                    found.append(f"{node.lineno}: open")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside_atomic_write)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_checker_finds_plain_writes():
+    source = """
+def atomic_write(path, mode="w"):
+    with open(path + ".tmp", mode.replace("w", "x")) as fh:
+        yield fh
+
+def ok(path):
+    open(path), open(path, "rb"), open(path, mode="r"), path.open()
+
+def bad(path, mode):
+    open(path, "w"), open(path, mode="a"), open(path, mode), path.open("wb")
+    path.write_text("x"), path.write_bytes(b"x")
+"""
+    assert plain_writes(source) == ["10: open", "10: open", "10: open", "10: open", "11: write_text", "11: write_bytes"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_modules_write_only_through_atomic_write(module):
+    assert plain_writes((SRC / module).read_text(encoding="utf-8")) == []

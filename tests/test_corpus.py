@@ -227,11 +227,12 @@ class TestEncode:
         with pytest.raises(CorpusError, match="question_max_len"):
             encode(ex, tiny_vocab(), max_len=8, question_max_len=-1)
 
-    def test_padding_and_mask(self):
+    def test_ids_hold_only_the_real_tokens(self):
+        # max_len caps the layout; a shorter one is not padded up to it
         ex = Example(id="e", question=("a",), passage=("b",), gold=Span(0, 0, "b"))
         enc = encode(ex, tiny_vocab(), max_len=8)
-        assert enc.token_ids.tolist() == [2, 4, 3, 5, 3, 0, 0, 0]
-        assert enc.attention_mask.tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
+        assert enc.token_ids.tolist() == [2, 4, 3, 5, 3]
+        assert enc.length == 5
 
     def test_unknown_token_maps_to_unk(self):
         ex = Example(id="e", question=("zzz",), passage=("b",), gold=Span(0, 0, "b"))
@@ -273,7 +274,7 @@ class TestEncode:
     )
     def test_edge_lengths(self, q_len, p_len, slack, question_max_len, data):
         # max_len one below, at and one above what the kept question and the
-        # whole passage need: the passage loses its last token, fits, or pads
+        # whole passage need: the passage loses its last token or fits
         start = data.draw(st.integers(0, p_len - 1))
         end = data.draw(st.integers(start, p_len - 1))
         passage = tuple("abc"[i % 3] for i in range(p_len))
@@ -287,12 +288,12 @@ class TestEncode:
             return
         enc = encode(ex, tiny_vocab(), max_len, question_max_len)
         kept_p = min(p_len, max_len - kept_q - 3)
-        assert enc.length == int(enc.attention_mask.sum()) == kept_q + kept_p + 3 <= max_len
+        assert len(enc.token_ids) == enc.length == kept_q + kept_p + 3 <= max_len
         (q0, q1), (p0, p1) = enc.question_region, enc.passage_region
         assert (q0, q1 - q0 + 1) == (1, kept_q)
         assert (p0, p1 - p0 + 1) == (kept_q + 2, kept_p)
         assert 0 < q0 and q1 < p0 <= p1 < enc.length - 1
-        assert enc.usable == (end < kept_p)
+        assert enc.usable == (end < kept_p) == (enc.gold_in_sequence is not None)
         if enc.usable:
             assert p0 <= enc.gold_in_sequence.start <= enc.gold_in_sequence.end <= p1
         else:
@@ -319,35 +320,24 @@ class TestEncodedExample:
         enc = self._enc()
         assert (enc.length, enc.max_token_id) == (6, 6)
 
-    @pytest.mark.parametrize(
-        "mask",
-        [
-            [0, 0, 0, 0, 0, 0, 0, 0],
-            [0, 1, 1, 1, 1, 1, 0, 0],
-            [1, 1, 0, 1, 1, 0, 0, 0],
-            [1, 1, 1, 1, 1, 1, 0, 1],
-            [1, 1, 1, 1, 1, 2, 0, 0],
-            [1, 1, 1, 1, -1, 1, 0, 0],
-        ],
-    )
-    def test_mask_not_a_prefix_of_ones_refused(self, mask):
-        with pytest.raises(CorpusError, match="m9: attention mask must be a non-empty prefix of ones"):
-            replace(self._enc(), attention_mask=np.array(mask))
-
-    def test_mask_of_another_length_refused(self):
-        with pytest.raises(CorpusError, match="m9: .* of one length"):
-            replace(self._enc(), attention_mask=np.ones(7, dtype=np.int64))
+    @pytest.mark.parametrize("ids", [np.zeros(0, dtype=np.int64), np.array([[2, 4, 3], [5, 6, 3]])])
+    def test_ids_empty_or_not_1d_refused(self, ids):
+        with pytest.raises(CorpusError, match="m9: token ids must be 1-d and non-empty"):
+            replace(self._enc(), token_ids=ids)
 
     def test_negative_real_id_refused(self):
         with pytest.raises(CorpusError, match="m9: negative token id -2"):
-            replace(self._enc(), token_ids=np.array([2, 4, 3, -2, 6, 3, 0, 0]))
+            replace(self._enc(), token_ids=np.array([2, 4, 3, -2, 6, 3]))
+
+    def test_usable_reads_the_gold(self):
+        enc = self._enc()
+        assert enc.usable
+        assert not replace(enc, gold_in_sequence=None).usable
 
     def test_arrays_are_read_only_copies(self):
         enc = self._enc()
         with pytest.raises(ValueError, match="read-only"):
             enc.token_ids[1] = 5
-        with pytest.raises(ValueError, match="read-only"):
-            enc.attention_mask[7] = 1
         ids = enc.token_ids.copy()
         kept = replace(enc, token_ids=ids)
         ids[4] = 99

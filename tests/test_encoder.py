@@ -103,7 +103,7 @@ class TestForward:
         enc = tiny_enc()
         tr = forward(params, enc)
 
-        n = int(enc.attention_mask.sum())
+        n = enc.length
         d = cfg.d_model
         h0 = np.zeros((n, d))
         for t in range(n):
@@ -156,6 +156,12 @@ class TestForward:
         small.token_emb = params.token_emb[: enc.max_token_id]
         with pytest.raises(ValueError, match=f"x: token id {enc.max_token_id} >= vocab size {enc.max_token_id}"):
             forward(small, enc)
+
+    def test_encoding_longer_than_the_position_table_rejected(self):
+        enc = tiny_enc()  # 8 tokens: [CLS] t0 [SEP] t1..t4 [SEP]
+        assert forward(init_params(tiny_config(max_len=8), seed=0), enc).length == 8
+        with pytest.raises(ValueError, match="x: encoding length 8 > model max_len 7"):
+            forward(init_params(tiny_config(max_len=7), seed=0), enc)
 
 
 class TestBackward:

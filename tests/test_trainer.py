@@ -35,7 +35,7 @@ from spanforge.trainer import (
     total_steps,
     train_base,
 )
-from spanforge.trainer import _encode_usable
+from spanforge.trainer import _encode_usable, _frozen_spans_from_record
 
 
 def tiny_corpus(seed=0, n=60, passage_len=16, vocab=60):
@@ -581,17 +581,43 @@ class TestTrainingLoop:
             assert any(it.neg_spans for it in items)
             _combined_from_traces(params, items, traces, cfg)
 
-    def test_store_span_outside_region_refused(self):
-        from spanforge.trainer import _frozen_spans_from_record
-
+    def _store_record(self):
         ds = tiny_corpus()
         cfg = tiny_config(ds)
         params = init_params(cfg.encoder, seed=3)
         enc = _encode_usable(cfg, ds.train[:1], ds.vocab)[0][0]
         rec = collect_candidates(params, cfg, ds.train[:1], ds.vocab)[0][0]
+        return rec, enc, cfg.loss.k_frozen
+
+    def test_store_span_outside_region_refused(self):
+        rec, enc, k = self._store_record()
         rec["spans"][1]["start"] = 0
         with pytest.raises(ValueError, match="outside passage region"):
-            _frozen_spans_from_record(rec, enc, cfg.loss.k_frozen)
+            _frozen_spans_from_record(rec, enc, k)
+
+    @pytest.mark.parametrize("spans", ["absent", None, {"start": 5, "end": 5}, "5,5"])
+    def test_store_spans_not_a_list_refused(self, spans):
+        rec, enc, k = self._store_record()
+        if spans == "absent":
+            del rec["spans"]
+        else:
+            rec["spans"] = spans
+        with pytest.raises(ValueError, match=f"{enc.id}: candidate record's spans are not a list"):
+            _frozen_spans_from_record(rec, enc, k)
+
+    @pytest.mark.parametrize("entry", [[5, 5], None, {"start": 5}, {"end": 5}])
+    def test_store_span_entry_without_start_and_end_refused(self, entry):
+        rec, enc, k = self._store_record()
+        rec["spans"][2] = entry
+        with pytest.raises(ValueError, match=f"{enc.id}: candidate span 2 is not an object with start and end"):
+            _frozen_spans_from_record(rec, enc, k)
+
+    @pytest.mark.parametrize("side,value", [("start", 10.9), ("end", 10.0), ("end", "10"), ("start", True)])
+    def test_store_span_position_not_an_integer_refused(self, side, value):
+        rec, enc, k = self._store_record()
+        rec["spans"][1][side] = value
+        with pytest.raises(ValueError, match=f"{enc.id}: candidate span 1 position .* is not an integer"):
+            _frozen_spans_from_record(rec, enc, k)
 
 
 class TestDecode:
