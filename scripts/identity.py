@@ -11,7 +11,9 @@ change that must not move any result runs this at its parent and at itself:
 ``--against MANIFEST`` prints each path whose entry differs from MANIFEST's,
 or that only one side has, and exits 1 when there is any.
 
-The matrix: ``gen``; ``train-base`` with dev evaluation and step checkpoints
+The matrix: ``gen``, then ``gen`` twice more, each under its own ``--seed``, once
+with 120-token passages and once with no distractors, so most tokens drawn
+are filler; ``train-base`` with dev evaluation and step checkpoints
 (so its run log carries probe and eval records); ``collect``; ``train`` under
 the default config, with ``z_refresh_every`` and ``z_match=text``, and with
 ``objective=ce``; ``eval`` twice; ``sweep`` over one axis, then ``report``;
@@ -74,6 +76,13 @@ max_answer_len=3
 
 MATRIX = [
     ("gen", ["gen", "--spec", "corpus.cfg", "--out", "data"]),
+    # filler-heavy passages, where nearly every draw is a filler token
+    ("gen_long", ["gen", "--spec", "corpus.cfg", "--out", "data_long", "--seed", "11", "--config", "passage_len=120"]),
+    (
+        "gen_plain",
+        ["gen", "--spec", "corpus.cfg", "--out", "data_plain", "--seed", "12", "--config", "prefix_overlap_count=0",
+         "--config", "suffix_overlap_count=0", "--config", "full_decoys=0"],
+    ),
     ("train_base", ["train-base", "--base", "train.cfg", "--data", "data", "--out", "base", "--seed", "2"]),
     ("collect", ["collect", "--ckpt", "base/base.ckpt", "--base", "train.cfg", "--data", "data", "--out", "base"]),
     (

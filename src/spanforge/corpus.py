@@ -323,18 +323,21 @@ def _generate_example(rng: np.random.Generator, spec: CorpusSpec, pools: _Pools,
     order = rng.permutation(len(blocks))
     blocks = [blocks[i] for i in order]
     free = spec.passage_len - total
-    gaps = rng.multinomial(free, np.full(len(blocks) + 1, 1.0 / (len(blocks) + 1)))
+    gaps = rng.multinomial(free, [1.0 / (len(blocks) + 1)] * (len(blocks) + 1)).tolist()
+    # One draw of all the filler consumes the stream as ``free`` scalar
+    # draws would, in the same order, so the corpus keeps its bytes.
+    filler = [pools.filler[i] for i in rng.integers(len(pools.filler), size=free).tolist()]
 
     passage: list[str] = []
     gold_start = -1
-    for gi, block in enumerate(blocks):
-        for _ in range(int(gaps[gi])):
-            passage.append(pools.filler[int(rng.integers(len(pools.filler)))])
-        if block and block[0] == key:
+    taken = 0
+    for gap, block in zip(gaps, blocks):
+        passage.extend(filler[taken : taken + gap])
+        taken += gap
+        if block[0] == key:
             gold_start = len(passage) + 1
         passage.extend(block)
-    for _ in range(int(gaps[-1])):
-        passage.append(pools.filler[int(rng.integers(len(pools.filler)))])
+    passage.extend(filler[taken:])
 
     gold = Span(gold_start, gold_start + ans_len - 1, " ".join(answer))
     return Example(id=ex_id, question=(pools.question_word, key), passage=tuple(passage), gold=gold)
@@ -563,5 +566,5 @@ def span_text(enc: EncodedExample, start: int, end: int) -> str:
     """Resolve the text of a sequence-coordinate span inside the passage region."""
     p0, p1 = enc.passage_region
     if not (p0 <= start <= end <= p1):
-        raise ValueError(f"span ({start}, {end}) outside passage region {enc.passage_region}")
+        raise ValueError(f"{enc.id}: span ({start}, {end}) outside passage region {enc.passage_region}")
     return " ".join(enc.passage_tokens[start - p0 : end - p0 + 1])

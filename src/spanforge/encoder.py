@@ -325,7 +325,9 @@ def span_bounds(enc: EncodedExample, spans: Sequence[Span] | SpanIndex) -> tuple
     bad = np.flatnonzero((spans.starts < p0) | (spans.ends > p1) | (spans.ends < spans.starts))
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"span ({spans.starts[i]}, {spans.ends[i]}) empty or outside passage region ({p0}, {p1})")
+        raise ValueError(
+            f"{enc.id}: span ({spans.starts[i]}, {spans.ends[i]}) empty or outside passage region ({p0}, {p1})"
+        )
     return spans.starts, spans.ends
 
 

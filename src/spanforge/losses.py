@@ -71,7 +71,7 @@ def ce_loss_grads(trace: ForwardTrace, gold: Span) -> tuple[float, Vec64, Vec64]
     # array gather, whose per-call cost is most of this function's.
     p0, p1 = trace.enc.passage_region
     if gold.start < p0 or gold.end > p1:
-        raise ValueError(f"span ({gold.start}, {gold.end}) outside passage region ({p0}, {p1})")
+        raise ValueError(f"{trace.enc.id}: span ({gold.start}, {gold.end}) outside passage region ({p0}, {p1})")
     loss = -float(trace.start_logprobs[gold.start] + trace.end_logprobs[gold.end])
     n = trace.length
     d_slp = np.zeros(n)

@@ -81,7 +81,7 @@ def mine_batch(
     if outside.size:
         b, c = outside[0]
         span = (all_starts[b, c], all_ends[b, c])
-        raise ValueError(f"span ({span[0]}, {span[1]}) outside passage region ({p0[b, 0]}, {p1[b, 0]})")
+        raise ValueError(f"{encs[b].id}: span ({span[0]}, {span[1]}) outside passage region ({p0[b, 0]}, {p1[b, 0]})")
 
     same_text = text_matches(key_rows(encs), starts - p0, ends - p0, gold_starts - p0[:, 0], gold_ends - p0[:, 0])
     same_place = (starts == gold_starts[:, None]) & (ends == gold_ends[:, None])

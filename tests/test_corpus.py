@@ -1,23 +1,28 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from spanforge.corpus import (
+    VALUES_PER_KEY,
     CorpusError,
     CorpusSpec,
     DistractorPolicy,
     Example,
     Span,
     Vocab,
+    _generate_example,
+    build_vocab,
     decode,
     encode,
     generate_corpus,
     load_squad_json,
     read_examples_jsonl,
+    span_text,
     write_examples_jsonl,
 )
 from spanforge.metrics import normalize
@@ -111,6 +116,174 @@ class TestGenerate:
             read_examples_jsonl(path)
         assert f"{path}:3:" in str(err.value)
 
+
+
+def _reference_example(rng, spec, pools, ex_id):
+    """``_generate_example`` as it was with one scalar draw per filler token:
+    the reference that the one-draw version must match, draw for draw."""
+    lo, hi = spec.answer_len_range
+    pol = spec.distractors
+    key = pools.keys[int(rng.integers(len(pools.keys)))]
+    own = pools.values_by_key[key]
+    ans_len = int(rng.integers(lo, hi + 1))
+    answer = [own[i] for i in rng.choice(len(own), size=ans_len, replace=False)]
+
+    other_keys = [k for k in pools.keys if k != key]
+    decoy_keys = [other_keys[i] for i in rng.choice(len(other_keys), size=pol.full_decoys, replace=False)]
+    blocks = [[key] + answer]
+    for dk in decoy_keys:
+        dlen = int(rng.integers(lo, hi + 1))
+        dpool = pools.values_by_key[dk]
+        dvals = [dpool[i] for i in rng.choice(len(dpool), size=dlen, replace=False)]
+        blocks.append([dk] + dvals)
+
+    n_prefix = pol.prefix_overlap_count
+    n_suffix = pol.suffix_overlap_count if ans_len >= 2 else 0
+    blocks.extend([answer[0]] for _ in range(n_prefix))
+    blocks.extend([answer[-1]] for _ in range(n_suffix))
+
+    total = sum(len(b) for b in blocks)
+    if total > spec.passage_len:
+        raise CorpusError(
+            f"{ex_id}: answer plus distractors need {total} tokens, passage holds {spec.passage_len}"
+        )
+
+    order = rng.permutation(len(blocks))
+    blocks = [blocks[i] for i in order]
+    free = spec.passage_len - total
+    gaps = rng.multinomial(free, np.full(len(blocks) + 1, 1.0 / (len(blocks) + 1)))
+
+    passage = []
+    gold_start = -1
+    for gi, block in enumerate(blocks):
+        for _ in range(int(gaps[gi])):
+            passage.append(pools.filler[int(rng.integers(len(pools.filler)))])
+        if block and block[0] == key:
+            gold_start = len(passage) + 1
+        passage.extend(block)
+    for _ in range(int(gaps[-1])):
+        passage.append(pools.filler[int(rng.integers(len(pools.filler)))])
+
+    gold = Span(gold_start, gold_start + ans_len - 1, " ".join(answer))
+    return Example(id=ex_id, question=(pools.question_word, key), passage=tuple(passage), gold=gold)
+
+
+def _outcome(make, rng, spec, pools, ex_id):
+    try:
+        return make(rng, spec, pools, ex_id)
+    except CorpusError as exc:
+        return f"CorpusError: {exc}"
+
+
+def assert_same_stream(spec, count):
+    """``count`` examples from ``_generate_example`` and from the reference,
+    each from its own generator seeded alike: equal examples (or equal
+    refusals), and equal generator states after every one. Returns the
+    examples made."""
+    try:
+        _, pools = build_vocab(spec)
+    except CorpusError:
+        reject()  # refused before any draw
+    ours, theirs = np.random.default_rng(spec.seed), np.random.default_rng(spec.seed)
+    made = []
+    for i in range(count):
+        got = _outcome(_generate_example, ours, spec, pools, f"s{i}")
+        want = _outcome(_reference_example, theirs, spec, pools, f"s{i}")
+        assert got == want
+        assert ours.bit_generator.state == theirs.bit_generator.state, f"state after example {i}"
+        if isinstance(got, str):
+            break
+        made.append(got)
+    return made, pools
+
+
+def _filler_count(ex, pools):
+    return sum(tok in pools.filler for tok in ex.passage)
+
+
+class TestGeneratorStream:
+    """``_generate_example`` draws all of an example's filler at once. The
+    corpus keeps its bytes only because ``Generator.integers(n, size=m)``
+    consumes the stream as m scalar draws do; these tests hold that."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.integers(21, 300),
+        passage_len=st.one_of(st.integers(2, 16), st.integers(2, 120)),
+        answer_lo=st.integers(1, VALUES_PER_KEY),
+        answer_span=st.integers(0, VALUES_PER_KEY - 1),
+        policy=st.builds(DistractorPolicy, st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    )
+    def test_one_filler_draw_matches_per_token_draws(
+        self, seed, vocab_size, passage_len, answer_lo, answer_span, policy
+    ):
+        lo = min(answer_lo, passage_len)
+        answer_range = (lo, min(lo + answer_span, VALUES_PER_KEY, passage_len))
+        spec = CorpusSpec(vocab_size=vocab_size, num_examples=3, passage_len=passage_len,
+                          answer_len_range=answer_range, distractors=policy, seed=seed, num_dev=1, num_test=1)
+        assert_same_stream(spec, 8)
+
+    @pytest.mark.parametrize(
+        "spec, holds",
+        [
+            # key and answer fill the passage: every example has free = 0
+            (CorpusSpec(vocab_size=60, num_examples=3, passage_len=2, answer_len_range=(1, 1),
+                        distractors=DistractorPolicy(0, 0, 0), seed=1, num_dev=1, num_test=1),
+             lambda ex, pools: _filler_count(ex, pools) == 0),
+            (CorpusSpec(vocab_size=60, num_examples=3, passage_len=30, answer_len_range=(1, 1), seed=2,
+                        num_dev=1, num_test=1),
+             lambda ex, pools: len(ex.gold) == 1),
+            (CorpusSpec(vocab_size=60, num_examples=3, passage_len=30, distractors=DistractorPolicy(0, 0, 0),
+                        seed=3, num_dev=1, num_test=1),
+             lambda ex, pools: _filler_count(ex, pools) == len(ex.passage) - 1 - len(ex.gold)),
+            # vocab_size 21 leaves the smallest filler pool build_vocab allows
+            (CorpusSpec(vocab_size=21, num_examples=3, passage_len=40, distractors=DistractorPolicy(2, 2, 1),
+                        seed=4, num_dev=1, num_test=1),
+             lambda ex, pools: len(pools.filler) == 2 and _filler_count(ex, pools) > 0),
+        ],
+        ids=["no filler", "single-token answers", "no distractors", "two filler tokens"],
+    )
+    def test_edge_cases_match_per_token_draws(self, spec, holds):
+        made, pools = assert_same_stream(spec, 40)
+        assert len(made) == 40
+        assert all(holds(ex, pools) for ex in made)
+
+    def test_infeasible_example_refused_after_the_same_draws(self):
+        spec = CorpusSpec(vocab_size=60, num_examples=3, passage_len=7, answer_len_range=(1, 4),
+                          distractors=DistractorPolicy(1, 1, 1), seed=5, num_dev=1, num_test=1)
+        made, _ = assert_same_stream(spec, 40)
+        assert len(made) < 40
+
+
+# sha256 of each saved file; a change here means numpy's Generator stream (or
+# the generator) moved, and every corpus built from a seed with it.
+PINNED_CORPORA = {
+    "default seed 0": (
+        CorpusSpec(seed=0),
+        {
+            "train.jsonl": "ea89f9d09854a17cc0fe3088ce0b4028c770255e4f022b50659456eed7e6b3d8",
+            "dev.jsonl": "850b6bfd6edcbbbccfa8f95dc4ef8feed155d1dbab0f59457b5e4394b6d30762",
+            "test.jsonl": "7ffb3a0d0f89f84913100868e798bd674d5eda7501255c7abc2e9e4d33de2b90",
+        },
+    ),
+    "passage_len 120": (
+        CorpusSpec(passage_len=120, num_examples=600, num_dev=100, num_test=100, seed=1),
+        {
+            "train.jsonl": "769d2ab4c404af5e3580877bc853070d42d6577815fd6d50d0cf51537c963c98",
+            "dev.jsonl": "c7a62bfe758e025093323c3835d6ed51de7c0c23ec023e1e7e63c99b5c4810a4",
+            "test.jsonl": "90018e5117cf9abd9f8cf284dc2c5ad8adf17b8ba0366726c0ecb22abdff67c2",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CORPORA))
+def test_pinned_corpus_digests(tmp_path, name):
+    spec, digests = PINNED_CORPORA[name]
+    generate_corpus(spec).save(tmp_path)
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in sorted(digests)}
+    assert got == digests, f"{name} ({spec}): saved corpus bytes changed under numpy {np.__version__}"
 
 # Every character str.isspace accepts, so contexts mix all kinds of whitespace.
 _SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
@@ -328,6 +501,11 @@ class TestEncodedExample:
     def test_negative_real_id_refused(self):
         with pytest.raises(CorpusError, match="m9: negative token id -2"):
             replace(self._enc(), token_ids=np.array([2, 4, 3, -2, 6, 3]))
+
+    def test_span_text_outside_region_names_the_example(self):
+        enc = self._enc()
+        with pytest.raises(ValueError, match=r"^m9: span \(1, 4\) outside passage region \(3, 4\)"):
+            span_text(enc, 1, 4)
 
     def test_usable_reads_the_gold(self):
         enc = self._enc()

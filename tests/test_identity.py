@@ -23,7 +23,8 @@ def test_two_runs_give_equal_manifests(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     a, b = json.loads(first.read_text()), json.loads(second.read_text())
     assert a == b
-    assert {"base/runlog_base.jsonl", "base/candidates.jsonl", "eval/test.json", "sweep/report.csv"} <= set(a)
+    assert {"base/runlog_base.jsonl", "base/candidates.jsonl", "eval/test.json", "sweep/report.csv",
+            "data_long/train.jsonl", "data_plain/train.jsonl"} <= set(a)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["first.json", "second.json"]
 
 

@@ -95,7 +95,7 @@ class TestCE:
     def test_out_of_region_refused(self, enc4, where):
         p0, p1 = enc4.passage_region
         span = Span(p0 - 1, p0, "k p0") if where == "question" else Span(p1, p1 + 1, "p3 [SEP]")
-        with pytest.raises(ValueError, match="outside passage region"):
+        with pytest.raises(ValueError, match=rf"^{enc4.id}: span \({span.start}, {span.end}\) outside passage region"):
             ce_loss_grads(uniform_trace(enc4), span)
 
 

@@ -71,7 +71,7 @@ class TestEligibility:
     def test_candidate_outside_region_refused(self):
         trace, enc = real_trace()
         cands = PredictionSet.from_ranked([scored(0, 0, "[CLS]", 1.0)])
-        with pytest.raises(ValueError, match="outside passage region"):
+        with pytest.raises(ValueError, match=rf"^{enc.id}: span \(0, 0\) outside passage region"):
             select_hard_negatives(trace, cands, enc.gold_in_sequence, MiningStrategy(variant="top1"))
 
     def test_no_eligible_signals_skip(self):

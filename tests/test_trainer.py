@@ -592,7 +592,7 @@ class TestTrainingLoop:
     def test_store_span_outside_region_refused(self):
         rec, enc, k = self._store_record()
         rec["spans"][1]["start"] = 0
-        with pytest.raises(ValueError, match="outside passage region"):
+        with pytest.raises(ValueError, match=rf"^{enc.id}: span \(0, \d+\) empty or outside passage region"):
             _frozen_spans_from_record(rec, enc, k)
 
     @pytest.mark.parametrize("spans", ["absent", None, {"start": 5, "end": 5}, "5,5"])
