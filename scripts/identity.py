@@ -15,8 +15,10 @@ The matrix: ``gen``, then ``gen`` twice more, each under its own ``--seed``, onc
 with 120-token passages and once with no distractors, so most tokens drawn
 are filler; ``train-base`` with dev evaluation and step checkpoints
 (so its run log carries probe and eval records); ``collect``; ``train`` under
-the default config, with ``z_refresh_every`` and ``z_match=text``, and with
-``objective=ce``; ``eval`` twice; ``sweep`` over one axis, then ``report``;
+the default config, with ``z_refresh_every`` and ``z_match=text``, with
+``objective=ce``, with ``alpha`` at 0 and at 1, with random mining and with
+``mining_theta=3``; ``eval`` twice; ``sweep`` over the alpha axis and over
+the mining axis (top1 and random), then ``report``;
 and, through the API, ``run_eval`` and ``collect_candidates`` on a
 ``max_len`` that cuts more golds. The passage outgrows ``max_len``, so
 training skips an example whose gold is cut and evaluation scores one, and
@@ -99,6 +101,13 @@ MATRIX = [
         ["train", "--base", "train.cfg", "--ckpt", "base/base.ckpt", "--data", "data", "--out", "ft_ce",
          "--config", "objective=ce"],
     ),
+    # each side of the combined objective alone, and the other mining variants
+    *(
+        (f"ft_{name}", ["train", "--base", "train.cfg", "--ckpt", "base/base.ckpt", "--data", "data",
+                        "--out", f"ft_{name}", "--config", pair])
+        for name, pair in (("alpha0", "alpha=0"), ("alpha1", "alpha=1"), ("random", "mining_variant=random"),
+                           ("theta3", "mining_theta=3"))
+    ),
     (
         "eval_test",
         ["eval", "--ckpt", "ft_default/finetuned.ckpt", "--data", "data/test.jsonl", "--out", "eval/test.csv"],
@@ -112,6 +121,11 @@ MATRIX = [
         "sweep",
         ["sweep", "--axis", "alpha", "--values", "0.2,0.8", "--seeds", "0,1", "--base", "train.cfg", "--data", "data",
          "--out", "sweep", "--config", "epochs=1"],
+    ),
+    (
+        "sweep_mining",
+        ["sweep", "--axis", "mining", "--values", "top1,random", "--base", "train.cfg", "--data", "data",
+         "--out", "sweep_mining", "--config", "epochs=1"],
     ),
     (
         "report",

@@ -12,14 +12,14 @@ else exit 2) and has no other effect; every command runs in one thread.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .corpus import CorpusSpec, Dataset, DistractorPolicy, atomic_write, generate_corpus, read_examples_jsonl, Vocab
+from .corpus import CorpusSpec, Dataset, DistractorPolicy, Vocab, generate_corpus, read_examples_jsonl
+from .corpus import write_csv, write_json, write_lines
 from .encoder import EncoderConfig, ModelParams, load_checkpoint, save_checkpoint
 from .losses import LossConfig
 from .metrics import EvalReport
@@ -210,25 +210,20 @@ def _cmd_gen(args) -> int:
     ds = generate_corpus(spec)
     out = Path(args.out)
     ds.save(out)
-    with atomic_write(out / "corpus_meta.json", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            {
-                "vocab_size": spec.vocab_size,
-                "num_examples": spec.num_examples,
-                "passage_len": spec.passage_len,
-                "answer_len_range": list(spec.answer_len_range),
-                "distractors": {
-                    "prefix_overlap_count": spec.distractors.prefix_overlap_count,
-                    "suffix_overlap_count": spec.distractors.suffix_overlap_count,
-                    "full_decoys": spec.distractors.full_decoys,
-                },
-                "seed": spec.seed,
-                "splits": {"train": spec.num_train, "dev": spec.num_dev, "test": spec.num_test},
-            },
-            fh,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    meta = {
+        "vocab_size": spec.vocab_size,
+        "num_examples": spec.num_examples,
+        "passage_len": spec.passage_len,
+        "answer_len_range": list(spec.answer_len_range),
+        "distractors": {
+            "prefix_overlap_count": spec.distractors.prefix_overlap_count,
+            "suffix_overlap_count": spec.distractors.suffix_overlap_count,
+            "full_decoys": spec.distractors.full_decoys,
+        },
+        "seed": spec.seed,
+        "splits": {"train": spec.num_train, "dev": spec.num_dev, "test": spec.num_test},
+    }
+    write_json(out / "corpus_meta.json", meta, sort_keys=True)
     print(f"wrote {spec.num_train}/{spec.num_dev}/{spec.num_test} examples to {out}")
     return 0
 
@@ -238,7 +233,6 @@ def _cmd_train_base(args) -> int:
     ds = Dataset.load(Path(args.data))
     cfg, _ = train_config_from_kv(kv, len(ds.vocab))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     params, _ = train_base(cfg, ds.train, ds.vocab, dev_examples=ds.dev, out_dir=out)
     return _dev_report(params, cfg, ds, out, "base training")
 
@@ -246,7 +240,6 @@ def _cmd_train_base(args) -> int:
 def _cmd_collect(args) -> int:
     cfg, _, ds, params = _from_checkpoint(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _, summary = collect_candidates(params, cfg, ds.train, ds.vocab, out / "candidates.jsonl")
     print(f"collected {summary['count']} candidate sets (k={summary['k']}); recall@1={summary['recall_at']['1']:.4f}")
     return 0
@@ -255,7 +248,6 @@ def _cmd_collect(args) -> int:
 def _cmd_train(args) -> int:
     cfg, extras, ds, params = _from_checkpoint(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.objective == "combined":
         store_path = Path(extras["z_store"]) if extras["z_store"] else Path(args.ckpt).parent / "candidates.jsonl"
         if not store_path.exists():
@@ -277,7 +269,6 @@ def _cmd_eval(args) -> int:
     cfg = TrainConfig(encoder=enc_cfg, **encoding)
     report = run_eval(params, cfg, examples, vocab, k_list=k_list)
     out_csv = Path(args.out)
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
     report.save_csv(out_csv)
     report.save_json(out_csv.with_suffix(".json"))
     print(f"eval: em={report.em:.4f} f1={report.f1:.4f} over {len(report.records)} examples")
@@ -307,7 +298,6 @@ def _cmd_sweep(args) -> int:
         (value, train_config_from_kv({**kv, **_axis_overrides(args.axis, value)}, len(ds.vocab))[0]) for value in values
     ]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     # one shared base checkpoint so axis effects are not confounded
     base_params, _ = train_base(base_cfg, ds.train, ds.vocab)
@@ -320,14 +310,11 @@ def _cmd_sweep(args) -> int:
         for seed in seeds:
             run_cfg = replace(cfg, seed=seed)
             run_dir = out / f"{args.axis}_{value.replace(':', '_')}" / f"seed_{seed}"
-            run_dir.mkdir(parents=True, exist_ok=True)
             tuned, _ = finetune(run_cfg, ds.train, ds.vocab, store, base_params, out_dir=run_dir)
             report = run_eval(tuned, run_cfg, ds.test, ds.vocab)
             report.save_json(run_dir / "report.json")
             report.save_csv(run_dir / "report.csv")
-            with atomic_write(run_dir / "meta.json", encoding="utf-8", newline="\n") as fh:
-                json.dump({"axis": args.axis, "value": value, "seed": seed}, fh, sort_keys=True)
-                fh.write("\n")
+            write_json(run_dir / "meta.json", {"axis": args.axis, "value": value, "seed": seed}, sort_keys=True)
             rows.append({"value": value, "seed": seed, "em": report.em, "f1": report.f1})
             print(f"{args.axis}={value} seed={seed}: test em={report.em:.4f} f1={report.f1:.4f}")
 
@@ -346,13 +333,9 @@ def _write_aggregate(base_path: Path, axis: str, rows: list[dict]) -> None:
         }
         for v, rs in by_value.items()
     }
-    with atomic_write(base_path.with_suffix(".csv"), encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["axis", "value", "seed", "em", "f1"])
-        for row in rows:
-            writer.writerow([axis, row["value"], row["seed"], repr(row["em"]), repr(row["f1"])])
-        for value, agg in means.items():
-            writer.writerow([axis, value, "mean", repr(agg["em"]), repr(agg["f1"])])
+    per_seed = ([axis, row["value"], row["seed"], repr(row["em"]), repr(row["f1"])] for row in rows)
+    per_value = ([axis, value, "mean", repr(agg["em"]), repr(agg["f1"])] for value, agg in means.items())
+    write_csv(base_path.with_suffix(".csv"), [["axis", "value", "seed", "em", "f1"], *per_seed, *per_value])
     best = max(means, key=lambda v: means[v]["f1"])
     worst = min(means, key=lambda v: means[v]["f1"])
     lines = [
@@ -363,8 +346,7 @@ def _write_aggregate(base_path: Path, axis: str, rows: list[dict]) -> None:
         lines.append(f"| {value} | {agg['em']:.4f} | {agg['f1']:.4f} |")
     lines.append("")
     lines.append(f"best {axis}={best} (f1 {means[best]['f1']:.4f}), worst {axis}={worst} (f1 {means[worst]['f1']:.4f})")
-    with atomic_write(base_path.with_suffix(".txt"), encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(base_path.with_suffix(".txt"), lines)
 
 
 def _cmd_report(args) -> int:

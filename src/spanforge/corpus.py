@@ -17,6 +17,7 @@ suffix guarantee collapses into it.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import re
@@ -236,8 +237,7 @@ class Vocab:
         return self._tokens[idx]
 
     def save(self, path: str | Path) -> None:
-        with atomic_write(path, encoding="utf-8") as fh:
-            fh.write("\n".join(self._tokens) + "\n")
+        write_lines(path, self._tokens)
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
@@ -352,7 +352,6 @@ class Dataset:
 
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         for name in ("train", "dev", "test"):
             write_examples_jsonl(out / f"{name}.jsonl", getattr(self, name))
         self.vocab.save(out / "vocab.txt")
@@ -404,14 +403,13 @@ def example_from_dict(obj: dict) -> Example:
 
 
 def write_examples_jsonl(path: str | Path, examples: Iterable[Example]) -> None:
-    with atomic_write(path, encoding="utf-8", newline="\n") as fh:
-        for ex in examples:
-            fh.write(json.dumps(example_to_dict(ex)) + "\n")
+    write_jsonl(path, map(example_to_dict, examples))
 
 
 @contextmanager
 def atomic_write(path: str | Path, mode: str = "w", **open_args) -> Iterator[IO]:
-    """A file opened for writing (``mode`` "w" or "wb") in place of ``path``.
+    """A file opened for writing (``mode`` "w" or "wb") in place of ``path``,
+    whose missing parent directories are created first.
 
     The bytes go to a temporary file beside ``path``, which replaces ``path``
     (``os.replace``) only when the block exits cleanly. If the block raises,
@@ -419,6 +417,7 @@ def atomic_write(path: str | Path, mode: str = "w", **open_args) -> Iterator[IO]
     absent.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode.replace("w", "x"), **open_args) as fh:
@@ -427,6 +426,31 @@ def atomic_write(path: str | Path, mode: str = "w", **open_args) -> Iterator[IO]
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """UTF-8 text, each of ``lines`` followed by a line feed, replacing
+    ``path`` whole. Every text file of the package is written here or by
+    ``write_csv``."""
+    with atomic_write(path, encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_json(path: str | Path, value, sort_keys: bool = False) -> None:
+    """``value`` as one line of JSON."""
+    write_lines(path, [json.dumps(value, sort_keys=sort_keys)])
+
+
+def write_jsonl(path: str | Path, records: Iterable) -> None:
+    """JSON Lines: one JSON value per line."""
+    write_lines(path, map(json.dumps, records))
+
+
+def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """UTF-8 CSV, each row followed by a line feed, replacing ``path`` whole."""
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def read_jsonl(path: str | Path, what: str, error: type[ValueError] = ValueError) -> Iterator[tuple[str, object]]:

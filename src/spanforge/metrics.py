@@ -9,7 +9,6 @@ synthetic corpus has neither articles nor punctuation.
 
 from __future__ import annotations
 
-import csv
 import json
 import string
 from collections import Counter
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Example, atomic_write
+from .corpus import Example, write_csv, write_json
 
 _PUNCT = set(string.punctuation)
 _ARTICLES = {"a", "an", "the"}
@@ -77,20 +76,15 @@ class EvalReport:
         }
 
     def save_json(self, path: str | Path) -> None:
-        with atomic_write(path, encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     def save_csv(self, path: str | Path) -> None:
         """Aggregate CSV, one row per k: columns k, em, f1."""
-        with atomic_write(path, encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "em", "f1"])
-            for k in self.k_list:
-                writer.writerow([k, repr(self.topk[k]), repr(self.f1)])
+        write_csv(path, [["k", "em", "f1"], *([k, repr(self.topk[k]), repr(self.f1)] for k in self.k_list)])
 
     @classmethod
     def load_json(cls, path: str | Path) -> "EvalReport":
+        """The report ``save_json`` wrote; ``k_list`` keeps the file's order."""
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         agg = obj["aggregates"]
@@ -100,7 +94,7 @@ class EvalReport:
             em=agg["em"],
             f1=agg["f1"],
             topk=topk,
-            k_list=tuple(sorted(topk)),
+            k_list=tuple(topk),
         )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import Span, SpanIndex, span_text
 from .encoder import ForwardTrace
 from .numeric import pooling_matrix, unit_rows
-from .spandecode import key_rows, text_matches
+from .spandecode import text_matches
 
 MOST_SIMILAR = "most_similar"
 TOP1 = "top1"
@@ -83,7 +83,7 @@ def mine_batch(
         span = (all_starts[b, c], all_ends[b, c])
         raise ValueError(f"{encs[b].id}: span ({span[0]}, {span[1]}) outside passage region ({p0[b, 0]}, {p1[b, 0]})")
 
-    same_text = text_matches(key_rows(encs), starts - p0, ends - p0, gold_starts - p0[:, 0], gold_ends - p0[:, 0])
+    same_text = text_matches(encs, starts, ends, gold_starts, gold_ends)
     same_place = (starts == gold_starts[:, None]) & (ends == gold_ends[:, None])
     eligible = valid[:, 1:] & ~same_place & ~same_text
 

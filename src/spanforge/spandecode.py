@@ -10,7 +10,6 @@ where a caller reads it (``PredictionSet.ranked``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import EncodedExample, Span, SpanIndex, atomic_write, read_jsonl, span_text
+from .corpus import EncodedExample, Span, SpanIndex, read_jsonl, span_text, write_jsonl
 from .encoder import ForwardTrace
 
 
@@ -205,27 +204,23 @@ def topk_spans(trace: ForwardTrace, enc: EncodedExample, k: int, max_answer_len:
     return rank_batch([heads], [enc], k, max_answer_len).row(0)
 
 
-def key_rows(encs: Sequence[EncodedExample]) -> np.ndarray:
-    """(B, P) array whose row b is example b's ``passage_keys``, padded with -1."""
-    keys = np.full((len(encs), max(len(enc.passage_keys) for enc in encs)), -1, dtype=np.int64)
-    for b, enc in enumerate(encs):
-        keys[b, : len(enc.passage_keys)] = enc.passage_keys
-    return keys
-
-
 def text_matches(
-    keys: np.ndarray, starts: np.ndarray, ends: np.ndarray, gold_starts: np.ndarray, gold_ends: np.ndarray
+    encs: Sequence[EncodedExample], starts: np.ndarray, ends: np.ndarray, gold_starts: np.ndarray, gold_ends: np.ndarray
 ) -> np.ndarray:
     """Whether each candidate's normalized text equals its row's gold text.
 
-    ``keys`` is (B, P), row b example b's ``passage_keys`` (padded); the
-    (B, K) candidate and (B,) gold positions are passage-relative. Equal key
-    windows mean equal normalized text (see ``EncodedExample``).
+    The (B, K) candidate and (B,) gold positions are sequence positions,
+    row b inside the passage region of ``encs[b]``. Equal windows of
+    ``passage_keys`` mean equal normalized text (see ``EncodedExample``).
     """
-    B, P = keys.shape
+    B, P = len(encs), max(len(enc.passage_keys) for enc in encs)
+    keys = np.full((B, P), -1, dtype=np.int64)
+    for b, enc in enumerate(encs):
+        keys[b, : len(enc.passage_keys)] = enc.passage_keys
+    # flat index of each row's sequence position 0
+    row = (np.arange(B) * P - np.array([enc.passage_region[0] for enc in encs]))[:, None]
     gold_len = gold_ends - gold_starts + 1
     w = np.arange(int(gold_len.max()))
-    row = np.arange(B)[:, None] * P
     # A window compared up to the gold's length on an equal-length span stays
     # inside its row; other entries are masked below, so clipping the flat
     # index only keeps them in bounds.
@@ -282,9 +277,7 @@ def freeze_batch(
     else:
         if any(enc is None for enc in ranked.encs):
             raise ValueError("text matching needs the prediction set's encoded example")
-        p0 = np.array([enc.passage_region[0] for enc in ranked.encs])
-        keys = key_rows(ranked.encs)
-        same = text_matches(keys, starts - p0[:, None], ends - p0[:, None], gold_starts - p0, gold_ends - p0)
+        same = text_matches(ranked.encs, starts, ends, gold_starts, gold_ends)
     same &= np.arange(cols) < ranked.counts[:, None]
     found = same.any(axis=1)
     short = np.flatnonzero(ranked.counts < np.where(found, k, k - 1))
@@ -331,9 +324,7 @@ def store_records(frozen: RankedBatch, gold_ranks: Sequence[int | None]) -> list
 
 def write_candidate_store(path: str | Path, records: Iterable[dict]) -> None:
     """Candidate store: one JSON object per line, spans in sequence coordinates."""
-    with atomic_write(path, encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    write_jsonl(path, records)
 
 
 def read_candidate_store(path: str | Path) -> dict[str, dict]:

@@ -16,7 +16,6 @@ and every reduction runs in a fixed order.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -27,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import EncodedExample, Example, Span, SpanIndex, Vocab, atomic_write, encode, read_jsonl, span_text
+from .corpus import EncodedExample, Example, Span, SpanIndex, Vocab, encode, read_jsonl, span_text, write_json, write_jsonl
 from .encoder import (
     EncoderConfig,
     ForwardTrace,
@@ -125,9 +124,7 @@ class RunLog:
         return [r for r in self.records if r.get("kind") == kind]
 
     def save(self, path: str | Path) -> None:
-        with atomic_write(path, encoding="utf-8", newline="\n") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec) + "\n")
+        write_jsonl(path, self.records)
 
     @classmethod
     def load(cls, path: str | Path) -> "RunLog":
@@ -259,6 +256,17 @@ def decode(
             yield ranked.row(b), gold
 
 
+def frozen_chunks(
+    params: ModelParams, encs: Iterable[EncodedExample], config: TrainConfig
+) -> Iterator[tuple[RankedBatch, list[int | None]]]:
+    """The one freezing pass, shared by ``collect_candidates`` and the
+    frozen-set refresh: per ``decode_chunks`` chunk, ``freeze_batch``'s frozen
+    sets of k_frozen spans and each gold's rank (None when inserted)."""
+    k = config.loss.k_frozen
+    for ranked, golds in decode_chunks(params, encs, k, config.max_answer_len):
+        yield freeze_batch(ranked, golds, k, config.z_match)
+
+
 def log_probe_predictions(
     params: ModelParams,
     config: TrainConfig,
@@ -316,7 +324,6 @@ def _run_loop(config, params, encs, stage: Stage, log, phase, dev_examples, voca
         _maybe_eval(config, params, dev_examples, vocab, done, log)
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         save_checkpoint(out / final_ckpt, config.encoder, params)
         log.save(out / f"runlog_{phase}.jsonl")
 
@@ -368,9 +375,7 @@ def _maybe_checkpoint(config, params, probe, step, steps, out_dir, log, tag):
     for rec in log_probe_predictions(params, config, probe, config.probe_top_n, step):
         log.add(**rec)
     if out_dir is not None and at_cadence:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(out / f"{tag}_step{step:06d}.ckpt", config.encoder, params)
+        save_checkpoint(Path(out_dir) / f"{tag}_step{step:06d}.ckpt", config.encoder, params)
 
 
 def _maybe_eval(config, params, dev_examples, vocab, step, log):
@@ -393,9 +398,7 @@ def collect_candidates(
     """
     k = config.loss.k_frozen
     encs, skipped = _encode_usable(config, examples, vocab)
-    records = []
-    for batch, golds in decode_chunks(params, encs, k, config.max_answer_len):
-        records += store_records(*freeze_batch(batch, golds, k, config.z_match))
+    records = [rec for frozen in frozen_chunks(params, encs, config) for rec in store_records(*frozen)]
     rank_hist = Counter(str(r["gold_rank"]) for r in records)
     n = len(records)
     ranked = [r["gold_rank"] for r in records if r["gold_rank"] is not None]
@@ -408,9 +411,7 @@ def collect_candidates(
     }
     if out_path is not None:
         write_candidate_store(out_path, records)
-        with atomic_write(Path(out_path).with_suffix(".summary.json"), encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, sort_keys=True)
-            fh.write("\n")
+        write_json(Path(out_path).with_suffix(".summary.json"), summary, sort_keys=True)
     return records, summary
 
 
@@ -579,10 +580,8 @@ def _combined_steps(
     mine_cache: dict[str, tuple[int, SpanIndex]] = {}
     for step, batch_encs in batches:
         if config.z_refresh_every > 0 and step > 0 and step % config.z_refresh_every == 0:
-            frozen_map = {}
-            for ranked, golds in decode_chunks(params, encs, config.loss.k_frozen, config.max_answer_len):
-                frozen, _ = freeze_batch(ranked, golds, config.loss.k_frozen, config.z_match)
-                frozen_map.update((enc.id, frozen.row(b)) for b, enc in enumerate(frozen.encs))
+            chunks = frozen_chunks(params, encs, config)
+            frozen_map = {enc.id: frozen.row(b) for frozen, _ in chunks for b, enc in enumerate(frozen.encs)}
             log.add(kind="z_refresh", step=step)
 
         items, traces, mined_log = _assemble_batch(params, config, batch_encs, frozen_map, mine_cache, step)

@@ -1,7 +1,9 @@
-"""Every writer of a checkpoint, candidate store, eval report or run log
-replaces its file whole: a write that raises part-way leaves the old file as
-it was and no temporary file behind. No module under ``src/spanforge/``
-writes a file any other way."""
+"""Every writer of a checkpoint, candidate store, eval report, run log,
+vocabulary or example file replaces its file whole: a write that raises
+part-way leaves the old file as it was and no temporary file behind, and a
+write into a missing directory creates it. No module under ``src/spanforge/``
+writes a file any other way, and only the writers beside ``atomic_write``
+and ``save_checkpoint`` call it."""
 
 import ast
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spanforge.corpus import atomic_write
+from spanforge.corpus import SPECIAL_TOKENS, Example, Span, Vocab, atomic_write, write_examples_jsonl, write_lines
 from spanforge.encoder import EncoderConfig, init_params, save_checkpoint
 from spanforge.metrics import EvalReport
 from spanforge.spandecode import write_candidate_store
@@ -20,6 +22,11 @@ OLD = b"old contents\n"
 
 def records_then_failure():
     yield {"id": "a", "spans": [], "gold_rank": None}
+    raise RuntimeError("stopped part-way")
+
+
+def examples_then_failure():
+    yield Example(id="a", question=("what", "k"), passage=("v",), gold=Span(0, 0, "v"))
     raise RuntimeError("stopped part-way")
 
 
@@ -47,6 +54,8 @@ WRITERS = {
     "report_json": (lambda path: bad_report().save_json(path), TypeError),
     "report_csv": (lambda path: EvalReport([], 0.0, 0.0, {1: 0.5}, (1, 3)).save_csv(path), KeyError),
     "runlog": (bad_runlog, TypeError),
+    "vocab": (lambda path: Vocab([*SPECIAL_TOKENS, "a", 5]).save(path), TypeError),
+    "examples_jsonl": (lambda path: write_examples_jsonl(path, examples_then_failure()), RuntimeError),
 }
 
 
@@ -59,6 +68,21 @@ def test_failed_write_keeps_the_old_file(tmp_path, name):
         write(path)
     assert path.read_bytes() == OLD
     assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_failed_write_into_a_missing_directory_leaves_no_file(tmp_path, name):
+    write, error = WRITERS[name]
+    with pytest.raises(error):
+        write(tmp_path / "new" / "target")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def test_write_into_a_missing_directory_creates_it(tmp_path):
+    path = tmp_path / "a" / "b" / "target.txt"
+    write_lines(path, ["x", "y"])
+    assert path.read_bytes() == b"x\ny\n"
+    assert [p.name for p in path.parent.iterdir()] == ["target.txt"]
 
 
 def test_failed_first_write_leaves_no_file(tmp_path):
@@ -128,3 +152,31 @@ def bad(path, mode):
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_modules_write_only_through_atomic_write(module):
     assert plain_writes((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def atomic_write_callers(source: str) -> set[str]:
+    """The names of the functions in ``source`` whose bodies call
+    ``atomic_write`` ("<module>" for a call outside any function)."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "atomic_write":
+                found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+WRITER_OWNERS = {("corpus.py", name) for name in ("write_lines", "write_json", "write_jsonl", "write_csv")}
+
+
+def test_only_the_writers_call_atomic_write():
+    callers = {(p.name, f) for p in SRC.glob("*.py") for f in atomic_write_callers(p.read_text(encoding="utf-8"))}
+    assert ("encoder.py", "save_checkpoint") in callers
+    assert callers <= WRITER_OWNERS | {("encoder.py", "save_checkpoint")}

@@ -172,6 +172,13 @@ class TestEvaluate:
         k1 = lines[1].split(",")
         assert float(k1[1]) == report.topk[1] and float(k1[2]) == report.f1
 
+    def test_loaded_report_writes_the_same_csv(self, tmp_path):
+        report = EvalReport([{"id": "a"}], em=0.5, f1=0.25, topk={10: 1.0, 1: 0.5, 3: 0.75}, k_list=(10, 1, 3))
+        report.save_csv(tmp_path / "report.csv")
+        report.save_json(tmp_path / "report.json")
+        EvalReport.load_json(tmp_path / "report.json").save_csv(tmp_path / "loaded.csv")
+        assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
+
     def test_empty_dataset_rejected(self):
         ds = small_corpus()
         cfg = EncoderConfig(vocab_size=len(ds.vocab), d_model=4, d_ff=6, max_len=32, num_hard_weights=2)

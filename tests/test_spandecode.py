@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import fake_trace, make_enc
 from spanforge.corpus import Span, SpanIndex, span_text
 from spanforge.losses import hard_loss_grads
+from spanforge.metrics import normalize
 from spanforge.numeric import MASK_VALUE
 from spanforge.spandecode import (
     PredictionSet,
@@ -20,6 +21,7 @@ from spanforge.spandecode import (
     freeze_batch,
     read_candidate_store,
     store_records,
+    text_matches,
     topk_batch,
     topk_spans,
     write_candidate_store,
@@ -209,6 +211,46 @@ class TestTopKBatchProperties:
         heads[head][1][p0 + 1] = 0.0
         heads[head][1][0] = bad
         topk_batch(*heads, encs, 3, 2)
+
+
+@st.composite
+def ragged_candidates(draw):
+    """A ragged batch of passages over case variants of one token (and one
+    other token), with each row's gold and K candidate spans in sequence
+    coordinates: the first counts[b] legal, of any length, so shorter and
+    longer than the gold; the rest padding columns at any position, start
+    after end included. A short row's windows run into the padded key
+    columns."""
+    K = draw(st.integers(1, 6))
+    encs, golds, cands, counts = [], [], [], []
+    for b in range(draw(st.integers(1, 5))):
+        plen, qlen = draw(st.integers(1, 10)), draw(st.integers(0, 3))
+        tokens = draw(st.lists(st.sampled_from(["ab", "Ab", "AB", "c"]), min_size=plen, max_size=plen))
+        enc = make_enc(tokens, [f"q{i}" for i in range(qlen)], ex_id=f"r{b}")
+        p0, p1 = enc.passage_region
+        span = st.integers(p0, p1).flatmap(lambda s: st.tuples(st.just(s), st.integers(s, p1)))
+        count = draw(st.integers(0, K))
+        pad = st.tuples(st.integers(0, 30), st.integers(0, 30))
+        live = draw(st.lists(span, min_size=count, max_size=count))
+        cands.append(live + draw(st.lists(pad, min_size=K - count, max_size=K - count)))
+        golds.append(draw(span))
+        encs.append(enc)
+        counts.append(count)
+    return encs, golds, cands, counts
+
+
+class TestTextMatches:
+    @given(ragged_candidates())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_normalized_span_text(self, drawn):
+        encs, golds, cands, counts = drawn
+        starts, ends = np.array(cands, dtype=np.int64).transpose(2, 0, 1)
+        gold_starts, gold_ends = np.array(golds, dtype=np.int64).T
+        same = text_matches(encs, starts, ends, gold_starts, gold_ends)
+        assert same.shape == starts.shape
+        for enc, gold, row, count, got in zip(encs, golds, cands, counts, same.tolist()):
+            want = normalize(span_text(enc, *gold))
+            assert got[:count] == [normalize(span_text(enc, s, e)) == want for s, e in row[:count]]
 
 
 def _scored(start, end, score, enc=None):
