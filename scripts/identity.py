@@ -17,8 +17,9 @@ are filler; ``train-base`` with dev evaluation and step checkpoints
 (so its run log carries probe and eval records); ``collect``; ``train`` under
 the default config, with ``z_refresh_every`` and ``z_match=text``, with
 ``objective=ce``, with ``alpha`` at 0 and at 1, with random mining and with
-``mining_theta=3``; ``eval`` twice; ``sweep`` over the alpha axis and over
-the mining axis (top1 and random), then ``report``;
+``mining_theta=3``; ``eval`` twice; ``sweep`` over the alpha axis, then over
+each other axis for one epoch (mining at top1 and random, z_size at 2 and 4,
+tau at 1 and 10), then ``report``;
 and, through the API, ``run_eval`` and ``collect_candidates`` on a
 ``max_len`` that cuts more golds. The passage outgrows ``max_len``, so
 training skips an example whose gold is cut and evaluation scores one, and
@@ -122,10 +123,11 @@ MATRIX = [
         ["sweep", "--axis", "alpha", "--values", "0.2,0.8", "--seeds", "0,1", "--base", "train.cfg", "--data", "data",
          "--out", "sweep", "--config", "epochs=1"],
     ),
-    (
-        "sweep_mining",
-        ["sweep", "--axis", "mining", "--values", "top1,random", "--base", "train.cfg", "--data", "data",
-         "--out", "sweep_mining", "--config", "epochs=1"],
+    # the other axes, each a one-epoch sweep of two values
+    *(
+        (f"sweep_{axis}", ["sweep", "--axis", axis, "--values", values, "--base", "train.cfg", "--data", "data",
+                           "--out", f"sweep_{axis}", "--config", "epochs=1"])
+        for axis, values in (("mining", "top1,random"), ("z_size", "2,4"), ("tau", "1,10"))
     ),
     (
         "report",

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .corpus import CorpusSpec, Dataset, DistractorPolicy, Vocab, generate_corpus, read_examples_jsonl
@@ -210,21 +210,11 @@ def _cmd_gen(args) -> int:
     ds = generate_corpus(spec)
     out = Path(args.out)
     ds.save(out)
-    meta = {
-        "vocab_size": spec.vocab_size,
-        "num_examples": spec.num_examples,
-        "passage_len": spec.passage_len,
-        "answer_len_range": list(spec.answer_len_range),
-        "distractors": {
-            "prefix_overlap_count": spec.distractors.prefix_overlap_count,
-            "suffix_overlap_count": spec.distractors.suffix_overlap_count,
-            "full_decoys": spec.distractors.full_decoys,
-        },
-        "seed": spec.seed,
-        "splits": {"train": spec.num_train, "dev": spec.num_dev, "test": spec.num_test},
-    }
-    write_json(out / "corpus_meta.json", meta, sort_keys=True)
-    print(f"wrote {spec.num_train}/{spec.num_dev}/{spec.num_test} examples to {out}")
+    sizes = {name: len(getattr(ds, name)) for name in ("train", "dev", "test")}
+    # every spec field, save that a split's size sits under "splits" rather than as num_<split>
+    meta = {key: value for key, value in asdict(spec).items() if key.removeprefix("num_") not in sizes}
+    write_json(out / "corpus_meta.json", {**meta, "splits": sizes}, sort_keys=True)
+    print(f"wrote {'/'.join(map(str, sizes.values()))} examples to {out}")
     return 0
 
 

@@ -41,7 +41,9 @@ class EncoderConfig:
             raise ValueError("all encoder dimensions must be positive")
 
 
-PARAM_FIELDS = ("token_emb", "pos_emb", "wq", "wk", "wv", "w1", "w2", "head_w", "head_b", "u")
+# Bias-like fields: initialized to zero and exempt from weight decay.
+BIAS_FIELDS = ("head_b", "u")
+PARAM_FIELDS = ("token_emb", "pos_emb", "wq", "wk", "wv", "w1", "w2", "head_w", *BIAS_FIELDS)
 
 
 @dataclass
@@ -88,7 +90,7 @@ def init_params(config: EncoderConfig, seed: int) -> ModelParams:
     bound = 1.0 / np.sqrt(config.d_model)
     fields = {}
     for name, shape in param_shapes(config):
-        if name in ("head_b", "u"):
+        if name in BIAS_FIELDS:
             fields[name] = np.zeros(shape, dtype=np.float64)
         else:
             fields[name] = rng.uniform(-bound, bound, size=shape)

@@ -107,12 +107,13 @@ def evaluate(
     """EM/F1 of each example's top prediction and its top-k EM, aggregated.
     ``ranked_texts`` holds each example's prediction texts, best first (kept
     whole as ``top_preds``); a count unequal to the examples' is refused.
-    ``k_list`` is checked before either iterable is read.
+    ``k_list`` keeps each distinct k once, in first-seen order, and is
+    checked before either iterable is read.
 
     The same figures as ``exact_match``, ``f1_overlap`` and ``topk_em``, with
     each text normalized once: the gold, the top prediction, and the next
     ones up to the first that matches the gold, within max(k_list)."""
-    k_list = tuple(k_list)
+    k_list = tuple(dict.fromkeys(k_list))
     if not k_list or min(k_list) < 1:
         raise ValueError("k_list must contain positive ks")
     top = max(k_list)

@@ -1,10 +1,10 @@
 """Hard-negative selection over the dynamic prediction set.
 
 The default strategy picks the candidate whose pooled representation is most
-cosine-similar to the gold answer's while not being the gold (neither by
-position nor by normalized text, which is compared on token keys). Two
-ablation strategies are provided: the top-ranked non-gold prediction, and a
-uniform random eligible candidate.
+cosine-similar to the gold answer's while not matching the gold's normalized
+text, compared on token keys (so never the gold's own span). Two ablation
+strategies are provided: the top-ranked non-gold prediction, and a uniform
+random eligible candidate.
 """
 
 from __future__ import annotations
@@ -58,14 +58,14 @@ def mine_batch(
 
     Row b of the (B, K) ``starts``/``ends`` holds example b's counts[b]
     ranked candidates (sequence positions), then padding. Eligible
-    candidates differ from the gold both by position and by normalized text,
-    compared on the passage's token keys. most_similar takes the theta
-    highest by cosine similarity of mean-pooled token representations to the
-    gold's (ties by candidate rank), pooling the gold and the eligible
-    candidates with one pooling matrix and scoring them with one normalised
-    mat-vec; top1 the first eligible by rank; random a uniform eligible draw
-    from the example's generator. Refuses a span outside the passage region,
-    and a pooled representation of zero norm.
+    candidates differ from the gold by normalized text, compared on the
+    passage's token keys, so the gold's own position is never eligible.
+    most_similar takes the theta highest by cosine similarity of mean-pooled
+    token representations to the gold's (ties by candidate rank), pooling the
+    gold and the eligible candidates with one pooling matrix and scoring them
+    with one normalised mat-vec; top1 the first eligible by rank; random a
+    uniform eligible draw from the example's generator. Refuses a span
+    outside the passage region, and a pooled representation of zero norm.
     """
     encs = [tr.enc for tr in traces]
     B, K = starts.shape
@@ -83,9 +83,7 @@ def mine_batch(
         span = (all_starts[b, c], all_ends[b, c])
         raise ValueError(f"{encs[b].id}: span ({span[0]}, {span[1]}) outside passage region ({p0[b, 0]}, {p1[b, 0]})")
 
-    same_text = text_matches(encs, starts, ends, gold_starts, gold_ends)
-    same_place = (starts == gold_starts[:, None]) & (ends == gold_ends[:, None])
-    eligible = valid[:, 1:] & ~same_place & ~same_text
+    eligible = valid[:, 1:] & ~text_matches(encs, starts, ends, gold_starts, gold_ends)
 
     picked = []
     for b in range(B):

@@ -28,6 +28,7 @@ import numpy as np
 
 from .corpus import EncodedExample, Example, Span, SpanIndex, Vocab, encode, read_jsonl, span_text, write_json, write_jsonl
 from .encoder import (
+    BIAS_FIELDS,
     EncoderConfig,
     ForwardTrace,
     ModelParams,
@@ -61,9 +62,6 @@ from .spandecode import (
     topk_batch,
     write_candidate_store,
 )
-
-# Bias-like parameters are exempt from decoupled weight decay.
-NO_DECAY_FIELDS = ("head_b", "u")
 
 DECODE_CHUNK = 32  # examples per topk_batch call in decode
 
@@ -160,7 +158,7 @@ def adamw_step(
     """One decoupled-weight-decay Adam update, in place.
 
     Decay multiplies the parameter by (1 - lr * wd) before the adaptive term
-    is subtracted; bias-like fields (head_b, u) are never decayed. A
+    is subtracted; the bias-like BIAS_FIELDS are never decayed. A
     non-finite gradient in any field is refused before any state changes.
     """
     for name in PARAM_FIELDS:
@@ -179,7 +177,7 @@ def adamw_step(
         v *= b2
         v += (1.0 - b2) * np.square(g)
         p = getattr(params, name)
-        if weight_decay != 0.0 and name not in NO_DECAY_FIELDS:
+        if weight_decay != 0.0 and name not in BIAS_FIELDS:
             p *= 1.0 - lr * weight_decay
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
@@ -246,14 +244,10 @@ def decode_chunks(
         yield rank_batch(heads, chunk, k, max_answer_len), golds
 
 
-def decode(
-    params: ModelParams, encs: Iterable[EncodedExample], k: int, max_answer_len: int
-) -> Iterator[tuple[PredictionSet, ScoredSpan | None]]:
-    """``decode_chunks`` one example at a time: each example's top-k
-    PredictionSet, in order, with its gold's ScoredSpan (None if unusable)."""
-    for ranked, golds in decode_chunks(params, encs, k, max_answer_len):
-        for b, gold in enumerate(golds):
-            yield ranked.row(b), gold
+def decode(params: ModelParams, encs: Iterable[EncodedExample], k: int, max_answer_len: int) -> Iterator[PredictionSet]:
+    """``decode_chunks`` one example at a time: each example's top-k PredictionSet, in order."""
+    for ranked, _ in decode_chunks(params, encs, k, max_answer_len):
+        yield from map(ranked.row, range(len(ranked.encs)))
 
 
 def frozen_chunks(
@@ -285,7 +279,7 @@ def log_probe_predictions(
                 for s in preds.ranked
             ],
         }
-        for preds, _ in decode(params, probe_encs, n, config.max_answer_len)
+        for preds in decode(params, probe_encs, n, config.max_answer_len)
     ]
 
 
@@ -597,7 +591,7 @@ def _combined_steps(
             contrastive_items=res.contrastive_items,
             contrastive_skipped=len(items) - res.contrastive_items,
         )
-        follow = [("mined", {"selections": mined_log})] if config.log_mined and config.loss.alpha > 0 else []
+        follow = [("mined", {"selections": mined_log})] if mined_log else []
         yield res.grads, res.combined, fields, follow
 
 
@@ -610,7 +604,8 @@ def _assemble_batch(
     step: int,
 ) -> tuple[list[BatchItem], list[ForwardTrace], list[dict]]:
     """The batch's items, one forward trace per item (mining and the loss
-    share it) and the ``mined`` log entries.
+    share it) and the ``mined`` log entries (none unless alpha > 0 and
+    log_mined).
 
     The examples whose cached negatives are stale are decoded and mined
     together, on index arrays; span text is built only for the log."""
@@ -667,4 +662,4 @@ def run_eval(
     k_list = tuple(k_list)
     encs = (encode(ex, vocab, config.encoder.max_len, config.question_max_len) for ex in examples)
     preds = decode(params, encs, max(k_list, default=1), config.max_answer_len)
-    return evaluate(examples, (p.texts() for p, _ in preds), k_list)
+    return evaluate(examples, (p.texts() for p in preds), k_list)

@@ -13,8 +13,8 @@ from spanforge.cli import (
     run,
     train_config_from_kv,
 )
-from spanforge.corpus import CorpusSpec, DistractorPolicy
-from spanforge.encoder import EncoderConfig
+from spanforge.corpus import CorpusSpec, DistractorPolicy, Vocab
+from spanforge.encoder import EncoderConfig, init_params, save_checkpoint
 from spanforge.metrics import EvalReport
 from spanforge.mining import MiningStrategy
 from spanforge.trainer import TrainConfig
@@ -76,6 +76,14 @@ class TestGen:
     def test_seed_flag_changes_data(self, workdir, tmp_path):
         assert run(["gen", "--spec", str(workdir / "corpus.cfg"), "--seed", "99", "--out", str(tmp_path / "s99")]) == 0
         assert (tmp_path / "s99" / "train.jsonl").read_bytes() != (workdir / "data" / "train.jsonl").read_bytes()
+
+    def test_corpus_meta_bytes(self, workdir):
+        # every CorpusSpec field of the non-default CORPUS_CFG, the split sizes under "splits"
+        assert (workdir / "data" / "corpus_meta.json").read_bytes() == (
+            b'{"answer_len_range": [1, 2], "distractors": {"full_decoys": 1, "prefix_overlap_count": 1, '
+            b'"suffix_overlap_count": 1}, "num_examples": 36, "passage_len": 14, "seed": 3, '
+            b'"splits": {"dev": 6, "test": 6, "train": 24}, "vocab_size": 60}\n'
+        )
 
 
 class TestPipeline:
@@ -166,6 +174,16 @@ class TestPipeline:
         assert got.em == expected.em
         assert got.records == expected.records
         assert got.records != default.records
+
+    def test_eval_reports_a_repeated_k_once(self, workdir, tmp_path):
+        data = workdir / "data"
+        enc_cfg = EncoderConfig(vocab_size=len(Vocab.load(data / "vocab.txt")), d_model=8, d_ff=12, max_len=20)
+        save_checkpoint(tmp_path / "init.ckpt", enc_cfg, init_params(enc_cfg, seed=0))
+        report_csv = tmp_path / "report.csv"
+        argv = ["eval", "--ckpt", str(tmp_path / "init.ckpt"), "--data", str(data / "test.jsonl"), "--k", "1,1,3"]
+        assert run([*argv, "--out", str(report_csv)]) == 0
+        assert [r[0] for r in csv.reader(report_csv.open())] == ["k", "1", "3"]
+        assert list(json.loads(report_csv.with_suffix(".json").read_text())["aggregates"]["topk_em"]) == ["1", "3"]
 
     def test_ce_objective_needs_no_store(self, workdir, tmp_path):
         base_dir = workdir / "base"

@@ -179,6 +179,20 @@ class TestEvaluate:
         EvalReport.load_json(tmp_path / "report.json").save_csv(tmp_path / "loaded.csv")
         assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
 
+    def test_repeated_k_reported_once(self, tmp_path):
+        passage = ("f1", "Saint", "Bernadette", "f2", "1876")
+        examples = [Example("a", ("what", "k"), passage, Span(4, 4, "1876"))]
+        report = evaluate(examples, [["f2", "1876", "f1"]], k_list=(3, 1, 1, 3))
+        assert report.k_list == (3, 1)
+        assert report.topk == {3: 1.0, 1: 0.0}
+        report = evaluate(examples, [["f2", "1876", "f1"]], k_list=(1, 1, 3))
+        assert report.k_list == (1, 3)
+        report.save_csv(tmp_path / "report.csv")
+        assert (tmp_path / "report.csv").read_text().splitlines() == ["k,em,f1", "1,0.0,0.0", "3,1.0,0.0"]
+        report.save_json(tmp_path / "report.json")
+        EvalReport.load_json(tmp_path / "report.json").save_csv(tmp_path / "loaded.csv")
+        assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
+
     def test_empty_dataset_rejected(self):
         ds = small_corpus()
         cfg = EncoderConfig(vocab_size=len(ds.vocab), d_model=4, d_ff=6, max_len=32, num_hard_weights=2)

@@ -252,6 +252,20 @@ class TestTextMatches:
             want = normalize(span_text(enc, *gold))
             assert got[:count] == [normalize(span_text(enc, s, e)) == want for s, e in row[:count]]
 
+    @given(ragged_candidates(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_gold_matches_itself(self, drawn, data):
+        # mining excludes the gold by text alone: a candidate at the gold's
+        # own position, in any column, must match
+        encs, golds, cands, _ = drawn
+        cols = [data.draw(st.integers(0, len(cands[0]) - 1)) for _ in encs]
+        for row, gold, col in zip(cands, golds, cols):
+            row[col] = gold
+        starts, ends = np.array(cands, dtype=np.int64).transpose(2, 0, 1)
+        gold_starts, gold_ends = np.array(golds, dtype=np.int64).T
+        same = text_matches(encs, starts, ends, gold_starts, gold_ends)
+        assert same[np.arange(len(encs)), cols].all()
+
 
 def _scored(start, end, score, enc=None):
     text = span_text(enc, start, end) if enc is not None else f"s{start}e{end}"

@@ -27,6 +27,7 @@ from spanforge.trainer import (
     collect_candidates,
     combined_batch,
     decode,
+    decode_chunks,
     finetune,
     gold_scored,
     init_adam_state,
@@ -635,8 +636,9 @@ class TestDecode:
         params = init_params(cfg.encoder, seed=5)
 
         out = list(decode(params, encs, 7, 4))
-        assert len(out) == len(encs) == 34
-        for enc, (preds, gold) in zip(encs, out):
+        golds = [gold for _, chunk_golds in decode_chunks(params, encs, 7, 4) for gold in chunk_golds]
+        assert len(out) == len(golds) == len(encs) == 34
+        for enc, preds, gold in zip(encs, out, golds):
             tr = forward(params, enc)
             ref = topk_spans(tr, enc, 7, 4)
             assert preds.enc is enc
@@ -661,7 +663,7 @@ class TestDecode:
         out = decode(params, stream(), 3, cfg.max_answer_len)
         first = next(out)
         assert len(pulled) == DECODE_CHUNK
-        assert [p.enc.id for p, _ in [first, *out]] == [enc.id for enc in encs]
+        assert [p.enc.id for p in [first, *out]] == [enc.id for enc in encs]
         # a one-shot k_list is read once: it both sizes the decode and keys the report
         report = run_eval(params, cfg, ds.dev, ds.vocab, k_list=(k for k in (1, 3)))
         assert report.k_list == (1, 3)
