@@ -16,8 +16,9 @@ with 120-token passages and once with no distractors, so most tokens drawn
 are filler; ``train-base`` with dev evaluation and step checkpoints
 (so its run log carries probe and eval records); ``collect``; ``train`` under
 the default config, with ``z_refresh_every`` and ``z_match=text``, with
-``objective=ce``, with ``alpha`` at 0 and at 1, with random mining and with
-``mining_theta=3``; ``eval`` twice; ``sweep`` over the alpha axis, then over
+``objective=ce``, with ``alpha`` at 0 and at 1, with random mining, with
+``mining_theta=3`` and with top1 mining whose negatives are reused for two
+steps (``remine_every=2``); ``eval`` twice; ``sweep`` over the alpha axis, then over
 each other axis for one epoch (mining at top1 and random, z_size at 2 and 4,
 tau at 1 and 10), then ``report``;
 and, through the API, ``run_eval`` and ``collect_candidates`` on a
@@ -108,6 +109,11 @@ MATRIX = [
                         "--out", f"ft_{name}", "--config", pair])
         for name, pair in (("alpha0", "alpha=0"), ("alpha1", "alpha=1"), ("random", "mining_variant=random"),
                            ("theta3", "mining_theta=3"))
+    ),
+    (
+        "ft_top1_remine",
+        ["train", "--base", "train.cfg", "--ckpt", "base/base.ckpt", "--data", "data", "--out", "ft_top1_remine",
+         "--config", "mining_variant=top1", "--config", "remine_every=2"],
     ),
     (
         "eval_test",

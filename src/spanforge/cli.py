@@ -279,8 +279,8 @@ def _axis_overrides(axis: str, value: str) -> dict[str, str]:
 
 def _cmd_sweep(args) -> int:
     kv = _config_layers(args, args.base)
-    values = args.values.split(",") if args.values else DEFAULT_AXIS_VALUES[args.axis]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
+    values = list(dict.fromkeys(args.values.split(","))) if args.values else DEFAULT_AXIS_VALUES[args.axis]
+    seeds = list(dict.fromkeys(int(s) for s in args.seeds.split(","))) if args.seeds else [0]
     ds = Dataset.load(Path(args.data))
     base_cfg, _ = train_config_from_kv(kv, len(ds.vocab))
     # every value's config is built before any training, so a bad value is refused first

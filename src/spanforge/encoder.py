@@ -333,24 +333,20 @@ def span_bounds(enc: EncodedExample, spans: Sequence[Span] | SpanIndex) -> tuple
     return spans.starts, spans.ends
 
 
-def span_repr(trace: ForwardTrace, span: Span) -> Vec64:
-    """Mean-pooled token representation of a passage span (sequence coords)."""
-    starts, ends = span_bounds(trace.enc, [span])
-    return (pooling_matrix(trace.length, starts, ends) @ trace.token_reprs)[0]
-
-
-def question_bounds(enc: EncodedExample) -> tuple[int, int]:
-    """First and last position of the question; refuses an empty question."""
+def item_pooling(trace: ForwardTrace, gold: Span, spans: Sequence[Span] | SpanIndex) -> tuple[Mat64, Mat64]:
+    """The contrastive item's pooling matrix and its mean-pooled rows: the
+    question, the gold, then ``spans``, all in one product, so a row is the
+    same whichever spans follow it. ``pool.T @ d_rows`` is the rows' exact
+    backward. Refuses an empty question region, and a span that is empty or
+    outside the passage region."""
+    enc = trace.enc
     q0, q1 = enc.question_region
     if q1 < q0:
         raise ValueError(f"{enc.id}: empty question region")
-    return q0, q1
-
-
-def question_repr(trace: ForwardTrace) -> Vec64:
-    """Mean-pooled representation of the question tokens."""
-    q0, q1 = question_bounds(trace.enc)
-    return (pooling_matrix(trace.length, [q0], [q1]) @ trace.token_reprs)[0]
+    gold_start, gold_end = span_bounds(enc, [gold])
+    starts, ends = span_bounds(enc, spans)
+    pool = pooling_matrix(trace.length, np.r_[q0, gold_start, starts], np.r_[q1, gold_end, ends])
+    return pool, pool @ trace.token_reprs
 
 
 CHECKPOINT_MAGIC = b"SPANFORGE-CKPT-1\n"

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Span, SpanIndex, span_text
-from .encoder import ForwardTrace
-from .numeric import pooling_matrix, unit_rows
+from .encoder import ForwardTrace, item_pooling
+from .numeric import Mat64, unit_rows
 from .spandecode import text_matches
 
 MOST_SIMILAR = "most_similar"
@@ -53,19 +53,21 @@ def mine_batch(
     golds: Sequence[Span],
     strategy: MiningStrategy,
     rngs: Sequence[np.random.Generator | None],
-) -> list[SpanIndex]:
-    """Hard negatives of every example; an empty SpanIndex signals skip-contrastive.
+) -> list[tuple[SpanIndex, tuple[Mat64, Mat64] | None]]:
+    """Hard negatives of every example, each with its ``item_pooling`` for
+    the loss (None with an empty SpanIndex, which signals skip-contrastive).
 
     Row b of the (B, K) ``starts``/``ends`` holds example b's counts[b]
     ranked candidates (sequence positions), then padding. Eligible
     candidates differ from the gold by normalized text, compared on the
     passage's token keys, so the gold's own position is never eligible.
     most_similar takes the theta highest by cosine similarity of mean-pooled
-    token representations to the gold's (ties by candidate rank), pooling the
-    gold and the eligible candidates with one pooling matrix and scoring them
-    with one normalised mat-vec; top1 the first eligible by rank; random a
-    uniform eligible draw from the example's generator. Refuses a span
-    outside the passage region, and a pooled representation of zero norm.
+    token representations to the gold's (ties by candidate rank), scoring the
+    gold and eligible rows of one pooling with one normalised mat-vec and
+    keeping its question, gold and picked rows; top1 the first eligible by
+    rank; random a uniform eligible draw from the example's generator; these
+    two pool only their pick. Refuses a span outside the passage region, an
+    empty question region and a pooled representation of zero norm.
     """
     encs = [tr.enc for tr in traces]
     B, K = starts.shape
@@ -88,26 +90,26 @@ def mine_batch(
     picked = []
     for b in range(B):
         idx = np.flatnonzero(eligible[b])
+        pooling = None
         if idx.size:
-            idx = _pick(strategy, idx, traces[b], starts[b], ends[b], golds[b], rngs[b])
-        picked.append(SpanIndex(starts[b, idx], ends[b, idx]))
+            idx, pooling = _pick(strategy, idx, traces[b], starts[b], ends[b], golds[b], rngs[b])
+        picked.append((SpanIndex(starts[b, idx], ends[b, idx]), pooling))
     return picked
 
 
-def _pick(strategy, eligible, trace, starts, ends, gold, rng) -> np.ndarray:
-    """The chosen entries of the non-empty, rank-ordered ``eligible`` indices."""
-    if strategy.variant == TOP1:
-        return eligible[:1]
-    if strategy.variant == RANDOM:
-        if rng is None:
-            raise ValueError("random mining needs an explicit rng")
-        return eligible[[int(rng.integers(eligible.size))]]
-    rows = pooling_matrix(
-        trace.length, np.append(gold.start, starts[eligible]), np.append(gold.end, ends[eligible])
-    )
-    unit, _ = unit_rows(rows @ trace.token_reprs)
-    sims = np.clip(unit[1:] @ unit[0], -1.0, 1.0)
-    return eligible[np.argsort(-sims, kind="stable")[: strategy.theta]]
+def _pick(strategy, eligible, trace, starts, ends, gold, rng) -> tuple[np.ndarray, tuple[Mat64, Mat64]]:
+    """The chosen entries of the non-empty, rank-ordered ``eligible`` indices, and their item pooling."""
+    if strategy.variant == MOST_SIMILAR:
+        pool, rows = item_pooling(trace, gold, SpanIndex(starts[eligible], ends[eligible]))
+        unit, _ = unit_rows(rows[1:])
+        sims = np.clip(unit[1:] @ unit[0], -1.0, 1.0)
+        order = np.argsort(-sims, kind="stable")[: strategy.theta]
+        keep = np.concatenate([[0, 1], 2 + order])
+        return eligible[order], (pool[keep], rows[keep])
+    if strategy.variant == RANDOM and rng is None:
+        raise ValueError("random mining needs an explicit rng")
+    chosen = eligible[:1] if strategy.variant == TOP1 else eligible[[int(rng.integers(eligible.size))]]
+    return chosen, item_pooling(trace, gold, SpanIndex(starts[chosen], ends[chosen]))
 
 
 def select_hard_negatives(
@@ -123,7 +125,7 @@ def select_hard_negatives(
     (a PredictionSet or any SpanIndex), and the picked spans get their text
     from the passage.
     """
-    (picked,) = mine_batch(
+    ((picked, _),) = mine_batch(
         [trace], candidates.starts[None], candidates.ends[None], np.array([len(candidates)]), [gold], strategy, [rng]
     )
     return [Span(s, e, span_text(trace.enc, s, e)) for s, e in zip(picked.starts.tolist(), picked.ends.tolist())]

@@ -37,7 +37,7 @@ from .encoder import (
     backward,
     forward,
     init_params,
-    question_bounds,
+    item_pooling,
     save_checkpoint,
     span_bounds,
     zero_params,
@@ -51,7 +51,7 @@ from .losses import (
 )
 from .mining import mine_batch, mining_rng
 from .metrics import EvalReport, evaluate
-from .numeric import pooling_matrix
+from .numeric import Mat64
 from .spandecode import (
     PredictionSet,
     RankedBatch,
@@ -439,26 +439,33 @@ def combined_batch(params: ModelParams, items: Sequence[BatchItem], config: Trai
     negative. At alpha extremes the excluded side contributes no gradient at
     all (not even exact zeros added in).
 
-    One forward per item, then the same computation the training step runs on
-    the traces it already holds, so both give bitwise-equal results.
+    One forward per item and, where the loss reads it, one ``item_pooling``,
+    then the same computation the training step runs on the traces and
+    poolings it already holds, so both give bitwise-equal results.
     """
-    return _combined_from_traces(params, items, [forward(params, it.enc) for it in items], config)
+    traces = [forward(params, it.enc) for it in items]
+    alpha = config.loss.alpha
+    poolings = [
+        item_pooling(tr, it.gold, it.neg_spans) if alpha > 0.0 and it.neg_spans else None
+        for it, tr in zip(items, traces)
+    ]
+    return _combined_from_traces(params, items, traces, poolings, config)
 
 
 def _combined_from_traces(
-    params: ModelParams, items: Sequence[BatchItem], traces: Sequence[ForwardTrace], config: TrainConfig
+    params: ModelParams, items: Sequence[BatchItem], traces: Sequence[ForwardTrace], poolings, config: TrainConfig
 ) -> BatchResult:
-    """combined_batch on ``traces``, each item's forward under ``params``."""
+    """combined_batch on ``traces``, each item's forward under ``params``, and
+    ``poolings``, each item's ``item_pooling`` (None where the loss reads none)."""
     loss_cfg = config.loss
     alpha = loss_cfg.alpha
     B = len(items)
     if B == 0:
         raise ValueError("empty batch")
 
-    # one pass before the loss: each item's hard-loss terms and, for an item
-    # with negatives, one pooling matrix whose rows are question, gold, negatives
+    # one pass before the loss: each item's hard-loss terms
     hard_scale = (1.0 - alpha) / B
-    hard_vals, ups, pools, rows = [], [], [], []
+    hard_vals, ups = [], []
     d_u_total = np.zeros_like(params.u)
     for it, tr in zip(items, traces):
         hl, d_slp, d_elp, d_u = hard_loss_grads(tr, it.frozen_spans, params.u)
@@ -469,27 +476,16 @@ def _combined_from_traces(
             up.d_start_logprob = d_slp * hard_scale
             up.d_end_logprob = d_elp * hard_scale
         ups.append(up)
-        pool = None
-        if alpha > 0.0 and it.neg_spans:
-            gold_start, gold_end = span_bounds(it.enc, [it.gold])
-            neg_starts, neg_ends = span_bounds(it.enc, it.neg_spans)
-            q0, q1 = question_bounds(it.enc)
-            pool = pooling_matrix(
-                tr.length,
-                np.concatenate([[q0], gold_start, neg_starts]),
-                np.concatenate([[q1], gold_end, neg_ends]),
-            )
-            rows.append(pool @ tr.token_reprs)
-        pools.append(pool)
     hard_mean = float(sum(hard_vals) / B)
+    rows = [pooling[1] for pooling in poolings if pooling is not None]
     contrast_val, d_rows = contrastive_loss_grads(rows, loss_cfg.tau) if rows else (0.0, [])
 
     # one pass after: each item's upstream gradients into one backward
     total = zero_params(config.encoder)
     d_rows = iter(d_rows)
-    for up, pool, tr in zip(ups, pools, traces):
-        if pool is not None:
-            up.d_token_reprs = alpha * (pool.T @ next(d_rows))
+    for up, pooling, tr in zip(ups, poolings, traces):
+        if pooling is not None:
+            up.d_token_reprs = alpha * (pooling[0].T @ next(d_rows))
         if up.d_start_logprob is not None or up.d_token_reprs is not None:
             backward(params, tr, up, into=total)
     if alpha < 1.0:
@@ -578,11 +574,11 @@ def _combined_steps(
             frozen_map = {enc.id: frozen.row(b) for frozen, _ in chunks for b, enc in enumerate(frozen.encs)}
             log.add(kind="z_refresh", step=step)
 
-        items, traces, mined_log = _assemble_batch(params, config, batch_encs, frozen_map, mine_cache, step)
-        res = _combined_from_traces(params, items, traces, config)
-        # Drop the batch's traces before the yield, so they do not stay alive
-        # beside the next batch's and raise the peak memory.
-        del traces
+        items, traces, poolings, mined_log = _assemble_batch(params, config, batch_encs, frozen_map, mine_cache, step)
+        res = _combined_from_traces(params, items, traces, poolings, config)
+        # Drop the batch's traces and poolings before the yield, so they do not
+        # stay alive beside the next batch's and raise the peak memory.
+        del traces, poolings
         fields = dict(
             objective="combined",
             hard=res.hard,
@@ -602,15 +598,17 @@ def _assemble_batch(
     frozen_map: dict[str, SpanIndex],
     mine_cache: dict[str, tuple[int, SpanIndex]],
     step: int,
-) -> tuple[list[BatchItem], list[ForwardTrace], list[dict]]:
-    """The batch's items, one forward trace per item (mining and the loss
-    share it) and the ``mined`` log entries (none unless alpha > 0 and
-    log_mined).
+) -> tuple[list[BatchItem], list[ForwardTrace], list[tuple[Mat64, Mat64] | None], list[dict]]:
+    """The batch's items, one forward trace and one ``item_pooling`` (None
+    without a negative) per item, which mining and the loss share, and the
+    ``mined`` log entries (none unless alpha > 0 and log_mined).
 
     The examples whose cached negatives are stale are decoded and mined
-    together, on index arrays; span text is built only for the log."""
+    together, on index arrays; a cached selection is pooled on this step's
+    trace. Span text is built only for the log."""
     traces = [forward(params, enc) for enc in batch_encs]
     negs = [SpanIndex(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))] * len(batch_encs)
+    poolings = [None] * len(batch_encs)
     mined_log = []
     if config.loss.alpha > 0.0:
         stale = []
@@ -618,6 +616,8 @@ def _assemble_batch(
             cached = mine_cache.get(enc.id)
             if cached is not None and step - cached[0] < config.remine_every:
                 negs[b] = cached[1]
+                if len(cached[1]):
+                    poolings[b] = item_pooling(traces[b], enc.gold_in_sequence, cached[1])
             else:
                 stale.append(b)
         if stale:
@@ -628,8 +628,9 @@ def _assemble_batch(
             seeded = config.loss.mining.variant == "random"
             rngs = [mining_rng(config.seed, enc.id, step) if seeded else None for enc in encs]
             golds = [enc.gold_in_sequence for enc in encs]
-            for b, picked in zip(stale, mine_batch(sub, starts, ends, counts, golds, config.loss.mining, rngs)):
-                negs[b] = picked
+            mined = mine_batch(sub, starts, ends, counts, golds, config.loss.mining, rngs)
+            for b, (picked, pooling) in zip(stale, mined):
+                negs[b], poolings[b] = picked, pooling
                 if config.remine_every > 1:
                     mine_cache[batch_encs[b].id] = (step, picked)
         if config.log_mined:
@@ -647,7 +648,7 @@ def _assemble_batch(
         BatchItem(enc=enc, gold=enc.gold_in_sequence, frozen_spans=frozen_map[enc.id], neg_spans=picked)
         for enc, picked in zip(batch_encs, negs)
     ]
-    return items, traces, mined_log
+    return items, traces, poolings, mined_log
 
 
 def run_eval(

@@ -238,6 +238,21 @@ class TestSweepAndReport:
         assert run(["report", *run_dirs, "--out", str(out_stem)]) == 0
         assert out_stem.with_suffix(".csv").exists()
 
+    def test_repeated_values_and_seeds_run_once(self, workdir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--axis", "alpha", "--base", str(workdir / "train.cfg"), "--data", str(workdir / "data")]
+        assert run([*argv, "--values", "0.5,0.1,0.5", "--seeds", "1,1", "--out", str(out)]) == 0
+        rows = [r[:3] for r in csv.reader((out / "sweep_alpha.csv").open())]
+        assert rows == [
+            ["axis", "value", "seed"],
+            ["alpha", "0.5", "1"],
+            ["alpha", "0.1", "1"],
+            ["alpha", "0.5", "mean"],
+            ["alpha", "0.1", "mean"],
+        ]
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if " seed=" in line]
+        assert printed == ["alpha=0.5 seed=1", "alpha=0.1 seed=1"]
+
     @pytest.mark.parametrize(
         "axis, values",
         [("alpha", "0.5,abc"), ("mining", "random:3"), ("mining", "most_similarity"), ("mining", "most_similar_top1")],

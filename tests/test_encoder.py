@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spanforge.corpus import Example, Span, Vocab, encode
+from spanforge.corpus import Example, Span, SpanIndex, Vocab, encode
 from spanforge.encoder import (
     EncoderConfig,
     ModelParams,
@@ -16,11 +16,10 @@ from spanforge.encoder import (
     flatten_params,
     forward,
     init_params,
+    item_pooling,
     load_checkpoint,
     param_shapes,
-    question_repr,
     save_checkpoint,
-    span_repr,
     unflatten_params,
     zero_params,
 )
@@ -259,19 +258,19 @@ class TestBackward:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_token_repr_gradient_matches_finite_diff(self, seed):
-        # loss: a fixed random projection of pooled span and question reprs
+        # loss: a fixed random projection of the pooled question, gold and negative rows
         cfg = tiny_config()
         params = init_params(cfg, seed=seed)
         enc = tiny_enc()
         rng = np.random.default_rng(99 + seed)
-        w_span = rng.normal(size=cfg.d_model)
-        w_q = rng.normal(size=cfg.d_model)
+        w_q, w_span, w_neg = rng.normal(size=(3, cfg.d_model))
         span = enc.gold_in_sequence
+        p0, p1 = enc.passage_region
+        neg = Span(p0, p1, " ".join(enc.passage_tokens))
 
         def loss_of(flat):
-            p = unflatten_params(flat, cfg)
-            t = forward(p, enc)
-            return float(w_span @ span_repr(t, span) + w_q @ question_repr(t))
+            _, rows = item_pooling(forward(unflatten_params(flat, cfg), enc), span, [neg])
+            return float(w_q @ rows[0] + w_span @ rows[1] + w_neg @ rows[2])
 
         tr = forward(params, enc)
         n, d = tr.length, cfg.d_model
@@ -280,60 +279,99 @@ class TestBackward:
         dtr[span.start : span.end + 1] += w_span / width
         q0, q1 = enc.question_region
         dtr[q0 : q1 + 1] += w_q / (q1 - q0 + 1)
+        dtr[p0 : p1 + 1] += w_neg / (p1 - p0 + 1)
         analytic = flatten_params(backward(params, tr, UpstreamGrads(d_token_reprs=dtr)))
         numeric = finite_diff_grad(loss_of, flatten_params(params), eps=1e-5)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
 
 class TestReprs:
+    """``item_pooling``'s rows are the question, the gold, then the spans."""
+
     def test_single_token_span_is_row(self):
         params = init_params(tiny_config(), seed=0)
         enc = tiny_enc()
         tr = forward(params, enc)
         p0, _ = enc.passage_region
-        np.testing.assert_array_equal(span_repr(tr, Span(p0, p0, enc.passage_tokens[0])), tr.token_reprs[p0])
+        one = Span(p0, p0, enc.passage_tokens[0])
+        _, rows = item_pooling(tr, one, [one])
+        np.testing.assert_array_equal(rows[1], tr.token_reprs[p0])
+        np.testing.assert_array_equal(rows[2], tr.token_reprs[p0])
 
     def test_two_token_span_is_average(self):
         params = init_params(tiny_config(), seed=0)
         enc = tiny_enc()
         tr = forward(params, enc)
         p0, _ = enc.passage_region
-        got = span_repr(tr, Span(p0, p0 + 1, " ".join(enc.passage_tokens[:2])))
-        np.testing.assert_allclose(got, (tr.token_reprs[p0] + tr.token_reprs[p0 + 1]) / 2, atol=1e-15)
+        two = Span(p0, p0 + 1, " ".join(enc.passage_tokens[:2]))
+        _, rows = item_pooling(tr, two, SpanIndex(np.array([p0]), np.array([p0 + 1])))
+        expected = (tr.token_reprs[p0] + tr.token_reprs[p0 + 1]) / 2
+        np.testing.assert_allclose(rows[1], expected, atol=1e-15)
+        np.testing.assert_allclose(rows[2], expected, atol=1e-15)
 
     def test_whole_passage_pooling_linearity(self):
         params = init_params(tiny_config(), seed=1)
         enc = tiny_enc()
         tr = forward(params, enc)
         p0, p1 = enc.passage_region
-        whole = span_repr(tr, Span(p0, p1, " ".join(enc.passage_tokens)))
-        per_token = [span_repr(tr, Span(i, i, enc.passage_tokens[i - p0])) for i in range(p0, p1 + 1)]
-        np.testing.assert_allclose(whole, np.mean(per_token, axis=0), atol=1e-12)
+        whole = Span(p0, p1, " ".join(enc.passage_tokens))
+        per_token = [Span(i, i, enc.passage_tokens[i - p0]) for i in range(p0, p1 + 1)]
+        _, rows = item_pooling(tr, whole, per_token)
+        np.testing.assert_allclose(rows[1], np.mean(rows[2:], axis=0), atol=1e-12)
 
     def test_out_of_region_span_rejected(self):
-        params = init_params(tiny_config(), seed=0)
-        tr = forward(params, tiny_enc())
-        with pytest.raises(ValueError):
-            span_repr(tr, Span(0, 0, "[CLS]"))
+        enc = tiny_enc()
+        tr = forward(init_params(tiny_config(), seed=0), enc)
+        cls = Span(0, 0, "[CLS]")
+        for gold, spans in ((cls, []), (enc.gold_in_sequence, [cls])):
+            with pytest.raises(ValueError, match=r"span \(0, 0\) empty or outside passage region"):
+                item_pooling(tr, gold, spans)
+
+    def test_empty_span_rejected(self):
+        enc = tiny_enc()
+        tr = forward(init_params(tiny_config(), seed=0), enc)
+        p0, _ = enc.passage_region
+        with pytest.raises(ValueError, match="empty or outside passage region"):
+            item_pooling(tr, enc.gold_in_sequence, SpanIndex(np.array([p0 + 1]), np.array([p0])))
 
     def test_question_repr_single_token(self):
         params = init_params(tiny_config(), seed=0)
         enc = tiny_enc(q=("t0",))
         tr = forward(params, enc)
-        np.testing.assert_array_equal(question_repr(tr), tr.token_reprs[1])
+        _, rows = item_pooling(tr, enc.gold_in_sequence, [])
+        np.testing.assert_array_equal(rows[0], tr.token_reprs[1])
 
     def test_question_repr_two_tokens_average(self):
         params = init_params(tiny_config(), seed=0)
         enc = tiny_enc(q=("t0", "t5"))
         tr = forward(params, enc)
-        np.testing.assert_allclose(question_repr(tr), (tr.token_reprs[1] + tr.token_reprs[2]) / 2, atol=1e-15)
+        _, rows = item_pooling(tr, enc.gold_in_sequence, [])
+        np.testing.assert_allclose(rows[0], (tr.token_reprs[1] + tr.token_reprs[2]) / 2, atol=1e-15)
 
     def test_question_repr_pooling_linearity(self):
         params = init_params(tiny_config(), seed=2)
         enc = tiny_enc(q=("t0", "t5", "t6"))
         tr = forward(params, enc)
         per_token = [tr.token_reprs[i] for i in range(1, 4)]
-        np.testing.assert_allclose(question_repr(tr), np.mean(per_token, axis=0), atol=1e-12)
+        _, rows = item_pooling(tr, enc.gold_in_sequence, [])
+        np.testing.assert_allclose(rows[0], np.mean(per_token, axis=0), atol=1e-12)
+
+    def test_empty_question_rejected(self):
+        enc = tiny_enc(q=())
+        tr = forward(init_params(tiny_config(), seed=0), enc)
+        with pytest.raises(ValueError, match=rf"^{enc.id}: empty question region$"):
+            item_pooling(tr, enc.gold_in_sequence, [])
+
+    def test_rows_are_the_pooling_of_the_token_reprs(self):
+        params = init_params(tiny_config(), seed=3)
+        enc = tiny_enc()
+        tr = forward(params, enc)
+        p0, p1 = enc.passage_region
+        spans = SpanIndex(np.array([p0, p0 + 1]), np.array([p1, p0 + 2]))
+        pool, rows = item_pooling(tr, enc.gold_in_sequence, spans)
+        assert pool.shape == (4, tr.length)
+        np.testing.assert_array_equal(rows, pool @ tr.token_reprs)
+        np.testing.assert_allclose(pool.sum(axis=1), np.ones(4), atol=1e-15)
 
 
 class TestCheckpoint:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spanforge.corpus import Span
-from spanforge.encoder import EncoderConfig, forward, init_params, span_repr
+from spanforge.encoder import EncoderConfig, forward, init_params
 from spanforge.mining import MiningStrategy, mine_batch, mining_rng, select_hard_negatives
 from spanforge.numeric import cosine_sim
 from spanforge.spandecode import PredictionSet, ScoredSpan, topk_batch, topk_spans
@@ -12,10 +12,10 @@ from spanforge.corpus import Example, Vocab, encode
 VOCAB = Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "what", "k0", "v0", "v1", "v2", "f0", "f1"])
 
 
-def real_trace(seed=0, passage=("f0", "v0", "v1", "f1", "v0", "v2"), gold=(1, 2)):
+def real_trace(seed=0, passage=("f0", "v0", "v1", "f1", "v0", "v2"), gold=(1, 2), question=("what", "k0")):
     ex = Example(
         id="m0",
-        question=("what", "k0"),
+        question=question,
         passage=passage,
         gold=Span(gold[0], gold[1], " ".join(passage[gold[0] : gold[1] + 1])),
     )
@@ -23,6 +23,11 @@ def real_trace(seed=0, passage=("f0", "v0", "v1", "f1", "v0", "v2"), gold=(1, 2)
     cfg = EncoderConfig(vocab_size=len(VOCAB), d_model=8, d_ff=12, max_len=12, num_hard_weights=3)
     params = init_params(cfg, seed=seed)
     return forward(params, enc), enc
+
+
+def span_mean(trace, span):
+    """Reference pooling: the mean of the span's token rows."""
+    return trace.token_reprs[span.start : span.end + 1].mean(axis=0)
 
 
 def scored(start, end, text, score):
@@ -96,14 +101,14 @@ class TestMostSimilar:
                 continue
             from spanforge.metrics import normalize
 
-            gold_vec = span_repr(trace, gold)
+            gold_vec = span_mean(trace, gold)
             best, best_sim = None, -2.0
             for s in dyn.ranked:
                 if s.span.positions == gold.positions:
                     continue
                 if normalize(s.span.text) == normalize(gold.text):
                     continue
-                sim = cosine_sim(span_repr(trace, s.span), gold_vec)
+                sim = cosine_sim(span_mean(trace, s.span), gold_vec)
                 if sim > best_sim:
                     best, best_sim = s.span, sim
             assert negs[0].positions == best.positions
@@ -113,8 +118,8 @@ class TestMostSimilar:
         gold = enc.gold_in_sequence
         dyn = topk_spans(trace, enc, k=10, max_answer_len=3)
         got = select_hard_negatives(trace, dyn, gold, MiningStrategy(theta=3))
-        gold_vec = span_repr(trace, gold)
-        sims = [cosine_sim(span_repr(trace, s), gold_vec) for s in got]
+        gold_vec = span_mean(trace, gold)
+        sims = [cosine_sim(span_mean(trace, s), gold_vec) for s in got]
         assert sims == sorted(sims, reverse=True)
 
     def test_scale_invariance_of_argmax(self):
@@ -172,6 +177,25 @@ class TestOtherStrategies:
             select_hard_negatives(trace, dyn, enc.gold_in_sequence, MiningStrategy(variant="random"))
 
 
+@pytest.mark.parametrize(
+    "strategy", [MiningStrategy(), MiningStrategy(variant="top1"), MiningStrategy(variant="random")]
+)
+def test_empty_question_region_refused(strategy):
+    # mining pools the question row beside the gold and the picks, so it
+    # refuses an example without a question, naming it
+    trace, enc = real_trace(seed=4, question=())
+    gold = enc.gold_in_sequence
+    dyn = topk_spans(trace, enc, k=10, max_answer_len=3)
+
+    def rng():
+        return mining_rng(0, enc.id, 0) if strategy.variant == "random" else None
+
+    with pytest.raises(ValueError, match=rf"^{enc.id}: empty question region$"):
+        select_hard_negatives(trace, dyn, gold, strategy, rng())
+    with pytest.raises(ValueError, match=rf"^{enc.id}: empty question region$"):
+        mine_batch([trace], dyn.starts[None], dyn.ends[None], np.array([len(dyn)]), [gold], strategy, [rng()])
+
+
 def test_strategy_validation():
     with pytest.raises(ValueError):
         MiningStrategy(variant="nope")
@@ -195,7 +219,7 @@ def test_batch_rows_equal_single_examples(strategy):
     def rng(b):
         return mining_rng(0, f"b{b}", 3) if strategy.variant == "random" else None
 
-    batch = mine_batch(traces, starts, ends, counts, golds, strategy, [rng(b) for b in range(3)])
+    batch = [picked for picked, _ in mine_batch(traces, starts, ends, counts, golds, strategy, [rng(b) for b in range(3)])]
     for b, (tr, enc) in enumerate(rows):
         single = select_hard_negatives(tr, topk_spans(tr, enc, 10, 3), golds[b], strategy, rng(b))
         assert list(zip(batch[b].starts.tolist(), batch[b].ends.tolist())) == [s.positions for s in single]

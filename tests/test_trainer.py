@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import re
 import warnings
 from dataclasses import replace
@@ -550,6 +552,43 @@ class TestTrainingLoop:
         assert len(log.of_kind("step")) == 6
         assert sorted(calls) == sorted(2 * list(store))
 
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            {},
+            {"remine_every": 2},
+            {"loss": {"mining": MiningStrategy("top1")}},
+            {"loss": {"mining": MiningStrategy("random")}},
+            {"loss": {"alpha": 0.0}},
+        ],
+    )
+    def test_one_pooling_per_example_step_with_a_negative(self, variant, monkeypatch):
+        # mining and the loss share one item pooling: every module's binding of
+        # pooling_matrix is counted, and each (example, step) that brings a
+        # negative pools once; none pools at alpha = 0
+        import spanforge
+        from spanforge import numeric
+
+        ds = tiny_corpus()
+        cfg = tiny_config(ds, epochs=2, probe_count=0, eval_every=0, **variant)
+        base = init_params(cfg.encoder, cfg.seed)
+        store = {r["id"]: r for r in collect_candidates(base, cfg, ds.train[:20], ds.vocab)[0]}
+        calls = []
+        real_pooling_matrix = numeric.pooling_matrix
+
+        def counting_pooling_matrix(*args):
+            calls.append(args)
+            return real_pooling_matrix(*args)
+
+        for info in pkgutil.iter_modules(spanforge.__path__):
+            module = importlib.import_module(f"spanforge.{info.name}")
+            if hasattr(module, "pooling_matrix"):
+                monkeypatch.setattr(module, "pooling_matrix", counting_pooling_matrix)
+        _, log = finetune(cfg, ds.train[:20], ds.vocab, store, base)
+        with_negative = sum(r["contrastive_items"] for r in log.of_kind("step"))
+        assert (with_negative > 0) == (cfg.loss.alpha > 0.0)
+        assert len(calls) == with_negative
+
     def test_combined_batch_equals_step_from_traces_bitwise(self):
         from spanforge.trainer import _assemble_batch, _combined_from_traces, _frozen_spans_from_record
 
@@ -559,10 +598,10 @@ class TestTrainingLoop:
         encs, _ = _encode_usable(cfg, ds.train[:8], ds.vocab)
         store = {r["id"]: r for r in collect_candidates(params, cfg, ds.train[:8], ds.vocab)[0]}
         frozen = {enc.id: _frozen_spans_from_record(store[enc.id], enc, cfg.loss.k_frozen) for enc in encs}
-        items, traces, _ = _assemble_batch(params, cfg, encs, frozen, {}, 0)
+        items, traces, poolings, _ = _assemble_batch(params, cfg, encs, frozen, {}, 0)
         assert any(it.neg_spans for it in items)
         a = combined_batch(params, items, cfg)
-        b = _combined_from_traces(params, items, traces, cfg)
+        b = _combined_from_traces(params, items, traces, poolings, cfg)
         assert (a.combined, a.hard, a.contrast, a.contrastive_items) == (b.combined, b.hard, b.contrast, b.contrastive_items)
         np.testing.assert_array_equal(flatten_params(a.grads), flatten_params(b.grads))
 
@@ -578,9 +617,9 @@ class TestTrainingLoop:
         frozen = {enc.id: _frozen_spans_from_record(store[enc.id], enc, cfg.loss.k_frozen) for enc in encs}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            items, traces, _ = _assemble_batch(params, cfg, encs, frozen, {}, 0)
+            items, traces, poolings, _ = _assemble_batch(params, cfg, encs, frozen, {}, 0)
             assert any(it.neg_spans for it in items)
-            _combined_from_traces(params, items, traces, cfg)
+            _combined_from_traces(params, items, traces, poolings, cfg)
 
     def _store_record(self):
         ds = tiny_corpus()
